@@ -1,19 +1,17 @@
-//! Hot-path benches: scheduler backends head to head, end-to-end
+//! Hot-path benches: the timing wheel against the heap reference, end-to-end
 //! flow-setup throughput, message-dispatch micro-benches (sink-vs-Vec
 //! handler dispatch, boxed-vs-inline `Message` moves), and the cluster
 //! dissemination strategies — one `cargo bench -p lazyctrl-bench --bench
 //! perf` entry point for the numbers `repro_perf` tracks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lazyctrl_core::{
-    ControlMode, DisseminationStrategy, Experiment, ExperimentConfig, SchedulerKind,
-};
+use lazyctrl_core::{ControlMode, DisseminationStrategy, Experiment, ExperimentConfig};
 use lazyctrl_net::{EtherType, EthernetFrame, HostId, PortNo, SwitchId, TenantId, VlanTag};
 use lazyctrl_proto::{
     ClusterMsg, GroupAssignMsg, KeepAliveMsg, LazyMsg, Message, OfMessage, OutputSink, PacketInMsg,
     PacketInReason,
 };
-use lazyctrl_sim::{EventQueue, SimDuration, SimTime};
+use lazyctrl_sim::{EventQueue, HeapQueue, SimDuration, SimTime};
 use lazyctrl_switch::{EdgeSwitch, SwitchOutput};
 use lazyctrl_trace::realistic::{generate as generate_real, RealTraceConfig};
 use lazyctrl_trace::synthetic::{generate as generate_syn, SyntheticConfig};
@@ -24,11 +22,35 @@ fn cluster_trace() -> lazyctrl_trace::Trace {
     generate_real(&tc)
 }
 
+/// The two queues the `event_queue` bench drives side by side.
+trait BenchQueue: Default {
+    fn schedule(&mut self, at: SimTime, event: u64);
+    fn pop(&mut self) -> Option<(SimTime, u64)>;
+}
+
+impl BenchQueue for EventQueue<u64> {
+    fn schedule(&mut self, at: SimTime, event: u64) {
+        EventQueue::schedule(self, at, event)
+    }
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        EventQueue::pop(self)
+    }
+}
+
+impl BenchQueue for HeapQueue<u64> {
+    fn schedule(&mut self, at: SimTime, event: u64) {
+        HeapQueue::schedule(self, at, event)
+    }
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        HeapQueue::pop(self)
+    }
+}
+
 /// Mimics a simulation's schedule shape: a large pre-scheduled horizon
 /// (flow arrivals) plus short-delay churn (deliveries, timers) popped in
 /// order.
-fn drive_queue(kind: SchedulerKind, pre: u64, churn: u64) -> u64 {
-    let mut q: EventQueue<u64> = EventQueue::with_kind(kind);
+fn drive_queue<Q: BenchQueue>(pre: u64, churn: u64) -> u64 {
+    let mut q = Q::default();
     // Pre-schedule `pre` arrivals spread over 24 virtual hours.
     let horizon_ns: u64 = 24 * 3_600_000_000_000;
     for i in 0..pre {
@@ -51,11 +73,12 @@ fn drive_queue(kind: SchedulerKind, pre: u64, churn: u64) -> u64 {
 fn bench_event_queue(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue");
     group.sample_size(10);
-    for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-        group.bench_with_input(BenchmarkId::from_parameter(kind.label()), &kind, |b, &k| {
-            b.iter(|| drive_queue(k, 20_000, 4))
-        });
-    }
+    group.bench_function("wheel", |b| {
+        b.iter(|| drive_queue::<EventQueue<u64>>(20_000, 4))
+    });
+    group.bench_function("heap", |b| {
+        b.iter(|| drive_queue::<HeapQueue<u64>>(20_000, 4))
+    });
     group.finish();
 }
 
@@ -63,17 +86,14 @@ fn bench_flow_setup_throughput(c: &mut Criterion) {
     let trace = generate_syn(&SyntheticConfig::syn_a().scaled_down(32));
     let mut group = c.benchmark_group("flow_setup_throughput");
     group.sample_size(10);
-    for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-        group.bench_with_input(BenchmarkId::from_parameter(kind.label()), &kind, |b, &k| {
-            b.iter(|| {
-                let cfg = ExperimentConfig::new(ControlMode::LazyStatic)
-                    .with_group_size_limit(46)
-                    .with_seed(7)
-                    .with_scheduler(k);
-                Experiment::new(trace.clone(), cfg).run()
-            })
-        });
-    }
+    group.bench_function("syn_a_32", |b| {
+        b.iter(|| {
+            let cfg = ExperimentConfig::new(ControlMode::LazyStatic)
+                .with_group_size_limit(46)
+                .with_seed(7);
+            Experiment::new(trace.clone(), cfg).run()
+        })
+    });
     group.finish();
 }
 
@@ -213,7 +233,7 @@ fn bench_message_moves(c: &mut Criterion) {
     const N: u32 = 4_096;
     group.bench_function("boxed_message_64b", |b| {
         b.iter(|| {
-            let mut q: EventQueue<Message> = EventQueue::with_kind(SchedulerKind::Wheel);
+            let mut q: EventQueue<Message> = EventQueue::new();
             for i in 0..N {
                 let msg = if i % 4 == 0 {
                     keepalive(i)
@@ -231,7 +251,7 @@ fn bench_message_moves(c: &mut Criterion) {
     });
     group.bench_function("inline_message_88b", |b| {
         b.iter(|| {
-            let mut q: EventQueue<InlineMessage> = EventQueue::with_kind(SchedulerKind::Wheel);
+            let mut q: EventQueue<InlineMessage> = EventQueue::new();
             for i in 0..N {
                 let body = if i % 4 == 0 {
                     InlineBody::Lazy(InlineLazy::KeepAlive(KeepAliveMsg {

@@ -5,12 +5,16 @@
 //!
 //! Workloads (all deterministic, seed 7):
 //!
+//! * `heap_calibrator` — no simulator code at all: a fixed synthetic
+//!   hold schedule (pop the earliest event, re-schedule it a
+//!   pseudo-random delay later) on the [`HeapQueue`] reference. Its
+//!   events/sec measure the host, not the simulator, so `--check` divides
+//!   hardware speed out of every other row with it.
 //! * `flow_setup_throughput` — Syn-A under a single lazy controller with
 //!   explicit ARP resolution for every fresh pair: the paper's flow-setup
 //!   operation, end to end. `LAZYCTRL_SCALE=paper` runs the full ×10
 //!   topology (2713 switches, 65090 hosts, 500 k flows); the default
-//!   quick scale runs the ⅛ topology. Also run on the retained heap
-//!   scheduler (`…_heap`) so the artifact records the backend delta.
+//!   quick scale runs the ⅛ topology.
 //! * `steady_state` — same trace without ARP emission (warm-path mix).
 //! * `flow_setup_throughput_bw` — the headline workload with every
 //!   control-plane channel class capacitated far above the offered load.
@@ -19,56 +23,34 @@
 //!   watermarks); it is asserted within 5% of the plain row's
 //!   events/sec (best of four alternating runs each, to ride out
 //!   runner noise).
-//! * `flow_setup_throughput_w1` / `_wN` — the same headline workload on
-//!   the sharded multi-core engine at 1 and N worker threads (only with
-//!   `--workers N`); the two reports are asserted bit-identical before
-//!   either row is recorded.
 //! * `scenario:<name>` — wall-clock of three registry scenarios.
 //!
-//! The JSON carries the **pre-PR baseline** for the headline workloads —
-//! the PR 4 engine (timing wheel with inline entries, `Vec`-returning
-//! handlers, ~88-byte `Message`), measured on the same workloads — so
-//! the artifact itself documents the allocation-free-dispatch speedup
-//! (acceptance: ≥1.25× events/sec on paper-scale
-//! `flow_setup_throughput`). Peak RSS is sampled **per scenario**: the
-//! kernel's high-water mark is reset before each workload, so a row's
-//! `peak_rss_kb` belongs to that workload alone instead of carrying the
-//! run-wide maximum forward.
+//! Peak RSS is sampled **per scenario**: the kernel's high-water mark is
+//! reset before each workload, so a row's `peak_rss_kb` belongs to that
+//! workload alone instead of carrying the run-wide maximum forward.
 //!
 //! ```sh
 //! cargo run --release -p lazyctrl-bench --bin repro_perf            # writes ./BENCH_perf.json
 //! cargo run --release -p lazyctrl-bench --bin repro_perf -- \
-//!     --workers 4 \
 //!     --out /tmp/BENCH_perf.json --check BENCH_perf.json           # CI: fail on >25% regression
 //! ```
 //!
-//! The committed `BENCH_perf.json` carries **both** scales' rows (the
-//! `--check` gate only compares rows matching the current scale, and
-//! CI's quick job never exercises the paper rows). A run's `--out` file
-//! contains only the current scale — to refresh the committed artifact,
-//! run at both scales and merge, rather than committing a single run's
-//! output and silently dropping the other scale's baseline.
+//! The committed `BENCH_perf.json` carries the quick, paper and x10
+//! rows (the `--check` gate only compares rows matching the current
+//! scale, and CI's quick job never exercises the others). A run's
+//! `--out` file contains only the current scale — to refresh the
+//! committed artifact, run every scale on one idle host and merge the
+//! rows, rather than committing a single run's output and silently
+//! dropping the other scales' baselines.
 
 use std::time::Instant;
 
 use lazyctrl_bench::{render_table, syn_a_trace, Scale};
 use lazyctrl_core::scenarios::{run_built_detailed, ScenarioRegistry};
-use lazyctrl_core::{BandwidthModel, ControlMode, Experiment, ExperimentConfig, SchedulerKind};
+use lazyctrl_core::{BandwidthModel, ControlMode, Experiment, ExperimentConfig};
 use lazyctrl_obs::PhaseTimings;
+use lazyctrl_sim::{HeapQueue, SimDuration, SimTime};
 use lazyctrl_trace::Trace;
-
-/// Pre-PR reference numbers (PR 4 engine: timing wheel with inline
-/// entries, `Vec`-returning handlers, ~88-byte `Message`), measured on
-/// the same workloads/seed. `(wall_s, events)`.
-fn pre_pr_baseline(scale: Scale, name: &str) -> Option<(f64, u64)> {
-    match (scale, name) {
-        (Scale::Quick, "flow_setup_throughput") => Some((0.890, 2_846_317)),
-        (Scale::Quick, "steady_state") => Some((0.722, 2_463_620)),
-        (Scale::Paper, "flow_setup_throughput") => Some((10.781, 23_094_763)),
-        (Scale::Paper, "steady_state") => Some((9.121, 19_684_073)),
-        _ => None,
-    }
-}
 
 /// Peak resident set size proxy (kB) — `VmHWM` on Linux, 0 elsewhere.
 fn peak_rss_kb() -> u64 {
@@ -98,8 +80,6 @@ struct Measurement {
     events: u64,
     flows: u64,
     peak_rss_kb: u64,
-    /// Worker threads on the sharded engine; 0 = the sequential engine.
-    workers: u64,
     /// Trace-build vs event-loop vs report-collection wall split (the
     /// engine's own phase timers; `wall_s` additionally covers trace
     /// cloning and driver overhead around them).
@@ -124,13 +104,12 @@ impl Measurement {
 
     fn json_line(&self, scale: Scale) -> String {
         format!(
-            "{{\"scale\": \"{}\", \"name\": \"{}\", \"workers\": {}, \"wall_s\": {:.3}, \
+            "{{\"scale\": \"{}\", \"name\": \"{}\", \"wall_s\": {:.3}, \
              \"events\": {}, \"events_per_sec\": {:.0}, \"flow_setups_per_sec\": {:.0}, \
              \"peak_rss_kb\": {}, \"build_s\": {:.3}, \"run_s\": {:.3}, \"report_s\": {:.3}, \
              \"p99_latency_ms\": {:.3}, \"p999_latency_ms\": {:.3}}}",
             scale.label(),
             self.name,
-            self.workers,
             self.wall_s,
             self.events,
             self.events_per_sec(),
@@ -145,30 +124,21 @@ impl Measurement {
     }
 }
 
-/// Runs one workload and returns the measurement plus the full report
-/// (the worker-count rows compare reports for bit-identity). Peak RSS is
-/// recorded as 0 when per-scenario reset is unsupported (`rss_ok` false):
-/// a monotone process-wide high-water mark is garbage per row, and a 0
-/// sample is never gated downstream.
+/// Runs one workload. Peak RSS is recorded as 0 when per-scenario reset
+/// is unsupported (`rss_ok` false): a monotone process-wide high-water
+/// mark is garbage per row, and a 0 sample is never gated downstream.
 fn run_workload(
     name: &str,
     trace: &Trace,
     arp: bool,
-    kind: SchedulerKind,
-    workers: Option<usize>,
     rss_ok: bool,
-    bandwidth: Option<BandwidthModel>,
-) -> (Measurement, lazyctrl_core::ExperimentReport) {
+    bandwidth: Option<&BandwidthModel>,
+) -> Measurement {
     let mut cfg = ExperimentConfig::new(ControlMode::LazyStatic)
         .with_group_size_limit(46)
-        .with_seed(7)
-        .with_scheduler(kind);
+        .with_seed(7);
     cfg.emit_arp = arp;
-    cfg.workers = workers;
-    if workers.is_some() {
-        cfg.shard_window_us = Some(SHARD_WINDOW_US);
-    }
-    if let Some(bw) = bandwidth {
+    if let Some(bw) = bandwidth.cloned() {
         cfg = cfg.with_bandwidth(bw);
     }
     if rss_ok {
@@ -176,18 +146,66 @@ fn run_workload(
     }
     let t0 = Instant::now();
     let detailed = Experiment::new(trace.clone(), cfg).run_detailed();
-    let m = Measurement {
+    Measurement {
         name: name.to_owned(),
         wall_s: t0.elapsed().as_secs_f64(),
         events: detailed.report.events_processed,
         flows: detailed.report.flows_started,
         peak_rss_kb: if rss_ok { peak_rss_kb() } else { 0 },
-        workers: workers.map_or(0, |w| w as u64),
         phases: detailed.phases,
         p99_latency_ms: detailed.report.p99_latency_ms,
         p999_latency_ms: detailed.report.p999_latency_ms,
+    }
+}
+
+/// Events held pending by the calibrator's hold schedule.
+const CALIBRATOR_PENDING: u64 = 100_000;
+/// Pop-and-reschedule steps per calibrator pass.
+const CALIBRATOR_STEPS: u64 = 2_000_000;
+/// Calibrator passes; the row keeps the median pass.
+const CALIBRATOR_PASSES: usize = 3;
+
+/// One calibrator pass: the classic hold model on the [`HeapQueue`]
+/// reference. `CALIBRATOR_PENDING` events are pre-scheduled over one
+/// virtual second; each step pops the earliest and re-schedules it up to
+/// 2 ms later, with delays from a fixed linear congruential sequence.
+/// Returns the wall time of the steps (the pre-fill is not timed).
+fn calibrator_pass() -> f64 {
+    let mut lcg = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move |bound: u64| {
+        lcg = lcg
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (lcg >> 33) % bound
     };
-    (m, detailed.report)
+    let mut q: HeapQueue<u64> = HeapQueue::new();
+    for i in 0..CALIBRATOR_PENDING {
+        q.schedule(SimTime::from_nanos(next(1_000_000_000)), i);
+    }
+    let t0 = Instant::now();
+    for _ in 0..CALIBRATOR_STEPS {
+        let (now, ev) = q.pop().expect("the hold schedule never drains");
+        q.schedule(now + SimDuration::from_nanos(next(2_000_000)), ev);
+    }
+    let wall_s = t0.elapsed().as_secs_f64();
+    assert_eq!(q.len() as u64, CALIBRATOR_PENDING);
+    wall_s
+}
+
+/// The calibrator row: the median of `CALIBRATOR_PASSES` passes.
+fn calibrator_row() -> Measurement {
+    let mut walls: Vec<f64> = (0..CALIBRATOR_PASSES).map(|_| calibrator_pass()).collect();
+    walls.sort_by(f64::total_cmp);
+    Measurement {
+        name: CALIBRATOR.to_owned(),
+        wall_s: walls[CALIBRATOR_PASSES / 2],
+        events: CALIBRATOR_STEPS,
+        flows: 0,
+        peak_rss_kb: 0,
+        phases: PhaseTimings::default(),
+        p99_latency_ms: 0.0,
+        p999_latency_ms: 0.0,
+    }
 }
 
 /// One committed baseline row (parsed from a file this binary wrote).
@@ -197,9 +215,6 @@ struct BaselineRow {
     events_per_sec: f64,
     wall_s: f64,
     peak_rss_kb: u64,
-    /// Worker threads the committed row was measured with (0 = sequential
-    /// engine; absent in pre-worker baselines, parsed as 0).
-    workers: u64,
 }
 
 /// Extracts the scenario rows from a baseline file written by this binary
@@ -223,28 +238,16 @@ fn parse_baseline(text: &str) -> Vec<BaselineRow> {
                 peak_rss_kb: field(l, "peak_rss_kb")
                     .and_then(|v| v.parse().ok())
                     .unwrap_or(0),
-                workers: field(l, "workers")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0),
             })
         })
         .collect()
 }
 
-/// The workload whose heap-backend run calibrates hardware speed between
-/// the machine that committed the baseline and the machine running the
-/// check (the heap scheduler is the stable reference implementation, so
-/// its throughput moves with hardware, not with hot-path work).
-const CALIBRATOR: &str = "flow_setup_throughput_heap";
-
-/// Synchronization window (µs of virtual time) for the sharded worker
-/// rows. The default window (the lookahead floor, ~114 µs) reproduces
-/// sequential timing exactly but yields epochs too small to parallelize;
-/// the bench rows run in throughput mode with a wide window instead —
-/// cross-partition arrivals are deterministically bumped to epoch
-/// boundaries, which is the documented accuracy/throughput trade
-/// (reports remain bit-identical across worker counts either way).
-const SHARD_WINDOW_US: u64 = 1_000_000;
+/// The row that calibrates hardware speed between the machine that
+/// committed the baseline and the machine running the check. It runs no
+/// simulator code (see [`calibrator_pass`]), so a slowdown anywhere in
+/// the simulator cannot slow the calibrator too and cancel itself out.
+const CALIBRATOR: &str = "heap_calibrator";
 
 /// Committed entries faster than this are dominated by scheduler noise
 /// and are reported but never gated.
@@ -264,21 +267,11 @@ const RSS_NOISE_FLOOR_KB: u64 = 16_384;
 fn main() {
     let mut out_path = String::from("BENCH_perf.json");
     let mut check_path: Option<String> = None;
-    let mut workers_flag: Option<usize> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--out" => out_path = args.next().expect("--out needs a path"),
             "--check" => check_path = Some(args.next().expect("--check needs a path")),
-            "--workers" => {
-                let n: usize = args
-                    .next()
-                    .expect("--workers needs a count")
-                    .parse()
-                    .expect("--workers needs a number");
-                assert!(n > 0, "--workers must be positive");
-                workers_flag = Some(n);
-            }
             other => {
                 eprintln!("unknown argument: {other}");
                 std::process::exit(2);
@@ -307,36 +300,9 @@ fn main() {
     );
 
     let mut measurements = vec![
-        run_workload(
-            "flow_setup_throughput",
-            &trace,
-            true,
-            SchedulerKind::Wheel,
-            None,
-            rss_ok,
-            None,
-        )
-        .0,
-        run_workload(
-            "flow_setup_throughput_heap",
-            &trace,
-            true,
-            SchedulerKind::Heap,
-            None,
-            rss_ok,
-            None,
-        )
-        .0,
-        run_workload(
-            "steady_state",
-            &trace,
-            false,
-            SchedulerKind::Wheel,
-            None,
-            rss_ok,
-            None,
-        )
-        .0,
+        calibrator_row(),
+        run_workload("flow_setup_throughput", &trace, true, rss_ok, None),
+        run_workload("steady_state", &trace, false, rss_ok, None),
     ];
 
     // Bandwidth-model overhead row: every channel class capacitated at
@@ -367,16 +333,7 @@ fn main() {
         // noise only ever inflates the measured cost, never hides it
         // below the true value for a whole round's pair.
         let one = |bandwidth: Option<&BandwidthModel>, name: &str| {
-            run_workload(
-                name,
-                &trace,
-                true,
-                SchedulerKind::Wheel,
-                None,
-                rss_ok,
-                bandwidth.cloned(),
-            )
-            .0
+            run_workload(name, &trace, true, rss_ok, bandwidth)
         };
         let mut best_ratio = f64::MIN;
         let mut bw_row: Option<Measurement> = None;
@@ -413,37 +370,6 @@ fn main() {
         measurements.push(bw_row.expect("four rounds ran"));
     }
 
-    // Sharded-engine rows: the same headline workload at 1 and N worker
-    // threads. The reports must be bit-identical — the shard layout is
-    // fixed by configuration, so worker count may only change wall clock.
-    if let Some(n) = workers_flag {
-        let (w1, report1) = run_workload(
-            "flow_setup_throughput_w1",
-            &trace,
-            true,
-            SchedulerKind::Wheel,
-            Some(1),
-            rss_ok,
-            None,
-        );
-        let (wn, report_n) = run_workload(
-            &format!("flow_setup_throughput_w{n}"),
-            &trace,
-            true,
-            SchedulerKind::Wheel,
-            Some(n),
-            rss_ok,
-            None,
-        );
-        assert_eq!(
-            report1, report_n,
-            "sharded reports diverged between 1 and {n} workers"
-        );
-        println!("workers: reports bit-identical at 1 vs {n} workers\n");
-        measurements.push(w1);
-        measurements.push(wn);
-    }
-
     // Registry scenarios, wall-timed (verdicts are repro_scenario's job).
     // Peak RSS is reset before each scenario (see `reset_peak_rss`), so
     // every row carries that scenario's own high-water mark.
@@ -462,7 +388,6 @@ fn main() {
             events: run.report.events_processed,
             flows: run.report.flows_started,
             peak_rss_kb: if rss_ok { peak_rss_kb() } else { 0 },
-            workers: 0,
             phases: detailed.phases,
             p99_latency_ms: run.report.p99_latency_ms,
             p999_latency_ms: run.report.p999_latency_ms,
@@ -471,9 +396,6 @@ fn main() {
 
     let mut rows = Vec::new();
     for m in &measurements {
-        let speedup = pre_pr_baseline(scale, &m.name)
-            .map(|(w, e)| format!("{:.2}x", m.events_per_sec() / (e as f64 / w)))
-            .unwrap_or_else(|| "-".into());
         rows.push(vec![
             m.name.clone(),
             format!("{:.3}", m.wall_s),
@@ -483,7 +405,6 @@ fn main() {
             format!("{:.0}", m.flows as f64 / m.wall_s),
             format!("{:.2}/{:.2}", m.p99_latency_ms, m.p999_latency_ms),
             m.peak_rss_kb.to_string(),
-            speedup,
         ]);
     }
     println!(
@@ -498,7 +419,6 @@ fn main() {
                 "flow-setups/s",
                 "p99/p999 (ms)",
                 "peak RSS (kB)",
-                "vs pre-PR",
             ],
             &rows,
         )
@@ -515,33 +435,15 @@ fn main() {
             "\n"
         });
     }
-    json.push_str("  ],\n  \"pre_pr_baseline\": [\n");
-    let baselines: Vec<String> = measurements
-        .iter()
-        .filter_map(|m| {
-            pre_pr_baseline(scale, &m.name).map(|(w, e)| {
-                format!(
-                    "    {{\"scale\": \"{}\", \"name\": \"{}\", \"engine\": \"wheel+vec-dispatch (PR 4)\", \
-                     \"wall_s\": {:.3}, \"events\": {}, \"baseline_events_per_sec\": {:.0}}}",
-                    scale.label(),
-                    m.name,
-                    w,
-                    e,
-                    e as f64 / w
-                )
-            })
-        })
-        .collect();
-    json.push_str(&baselines.join(",\n"));
-    json.push_str("\n  ]\n}\n");
+    json.push_str("  ]\n}\n");
     std::fs::write(&out_path, &json).expect("write BENCH_perf.json");
     println!("wrote {out_path}");
 
     // ---- regression gate ------------------------------------------------
     // Absolute events/sec moves with hardware, so the committed numbers
-    // are first rescaled by how this machine's *heap-backend* run (the
-    // stable reference implementation) compares to the committed one;
-    // after that normalization, a >25% drop is a real hot-path
+    // are first rescaled by how this machine's calibrator run (pure
+    // `HeapQueue` work, no simulator code) compares to the committed one;
+    // after that normalization, a >25% drop is a real simulator
     // regression, not a slower runner. Sub-`MIN_GATED_WALL_S` entries
     // are reported but not gated (pure timer noise at that size).
     //
@@ -569,12 +471,6 @@ fn main() {
         for base in rows {
             if base.scale != scale.label() || base.events_per_sec <= 0.0 || base.name == CALIBRATOR
             {
-                continue;
-            }
-            // Committed worker rows only exist when the run was invoked
-            // with --workers; without the flag they are absent by design,
-            // not renamed — don't fire the MISSING tripwire for them.
-            if base.workers > 0 && workers_flag.is_none() {
                 continue;
             }
             let gated = base.wall_s >= MIN_GATED_WALL_S;

@@ -9,8 +9,7 @@
 //!   for the real trace, 2713 / 65090 for Syn-A/B/C); slower but the same
 //!   code path;
 //! * `x10` — 10× the paper's synthetic topology (~27k switches / ~650k
-//!   hosts, flow count unchanged): the multi-core stress tier for the
-//!   sharded engine.
+//!   hosts, flow count unchanged): the large-topology stress tier.
 //!
 //! Absolute numbers scale with flow counts; the *shapes* the paper reports
 //! (orderings, ratios, crossovers) are the reproduction target — see
@@ -32,7 +31,7 @@ pub enum Scale {
     /// The paper's topology sizes.
     Paper,
     /// 10× the paper's synthetic topology (~27k switches, ~650k hosts) —
-    /// the multi-core stress tier. Flow count stays at the paper's 500k,
+    /// the large-topology stress tier. Flow count stays at the paper's 500k,
     /// so the tier scales topology state, not trace length.
     X10,
 }

@@ -1172,8 +1172,8 @@ impl ClusterControlPlane {
     /// Shedding a flow setup emits a rate-limited ECN-style
     /// [`CongestionNoticeMsg`] back to the offending switch so it paces
     /// its PacketIn-driven setups. The whole path is closed-form in
-    /// virtual time — no RNG draws — so replicated-RNG lockstep and
-    /// bit-exact worker-count determinism hold by construction.
+    /// virtual time — no RNG draws — so it perturbs no sampling stream
+    /// and same-seed runs stay bit-identical by construction.
     ///
     /// Returns true when the message was admitted. A no-op returning
     /// true when the queue is unbounded (`ingress_queue_slots == 0`,

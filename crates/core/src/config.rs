@@ -4,7 +4,7 @@ use lazyctrl_cluster::DisseminationStrategy;
 use lazyctrl_controller::RegroupTriggers;
 use lazyctrl_obs::ObsConfig;
 use lazyctrl_proto::EventPlan;
-use lazyctrl_sim::{BandwidthModel, LatencyModel, SchedulerKind};
+use lazyctrl_sim::{BandwidthModel, LatencyModel};
 use serde::{Deserialize, Serialize};
 
 /// Which control plane runs the data center.
@@ -115,11 +115,6 @@ pub struct ExperimentConfig {
     /// switch crashes, link degradation, host migration, traffic bursts —
     /// see [`EventPlan`]). Empty by default: nothing is injected.
     pub plan: EventPlan,
-    /// Event-scheduler backend for the run: the timing wheel (default) or
-    /// the binary-heap reference. Both produce bit-identical reports for
-    /// a given seed; the knob exists so regression tests can replay a
-    /// scenario under each (see `lazyctrl_sim::SchedulerKind`).
-    pub scheduler: SchedulerKind,
     /// Worker threads for the SGI merge/split step of incremental
     /// regrouping (`1` = sequential; bit-identical results either way).
     pub sgi_parallelism: usize,
@@ -127,26 +122,10 @@ pub struct ExperimentConfig {
     /// default; the layer is strictly read-only, so reports are
     /// bit-identical with it on or off (see `lazyctrl_obs`).
     pub obs: ObsConfig,
-    /// Worker threads for the sharded simulation engine. `None` (the
-    /// default) runs the original single-threaded engine; `Some(n)` — n
-    /// included `Some(1)` — runs the conservative sharded engine with
-    /// `n` workers. Sharded reports are bit-identical across worker
-    /// counts (for a fixed shard count and window) but are a *different*
-    /// deterministic run than the single-threaded engine: the world is
-    /// split into partitions with independent RNG streams (see
-    /// DESIGN.md §10).
-    pub workers: Option<usize>,
-    /// Partition count for the sharded engine (`None` = default 16,
-    /// capped at the switch count). Results depend on this number, so it
-    /// is deliberately decoupled from `workers`: changing the thread
-    /// count never changes reports.
-    pub shards: Option<usize>,
-    /// Synchronization window for the sharded engine, in microseconds.
-    /// `None` (the default) uses the model's cross-partition lookahead
-    /// floor, which keeps event timing exact; larger values trade
-    /// cross-partition timing precision for fewer synchronization rounds
-    /// (a throughput knob for perf runs).
-    pub shard_window_us: Option<u64>,
+    /// Vestigial: always `None`, and `Some` cannot be written. Kept only
+    /// so existing struct-field assignments (`cfg.workers = None`) keep
+    /// compiling; it goes with the next change to the benchmark package.
+    pub workers: Option<std::convert::Infallible>,
 }
 
 impl ExperimentConfig {
@@ -175,24 +154,15 @@ impl ExperimentConfig {
             cluster_ingress_slots: None,
             cluster_ingress_cost_ns: None,
             plan: EventPlan::new(),
-            scheduler: SchedulerKind::default(),
             sgi_parallelism: 1,
             obs: ObsConfig::default(),
             workers: None,
-            shards: None,
-            shard_window_us: None,
         }
     }
 
     /// Attaches an observability configuration (tracing/profiling).
     pub fn with_obs(mut self, obs: ObsConfig) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// Selects the event-scheduler backend.
-    pub fn with_scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.scheduler = kind;
         self
     }
 
@@ -262,25 +232,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Runs the sharded engine with `n` worker threads.
-    pub fn with_workers(mut self, n: usize) -> Self {
-        self.workers = Some(n);
-        self
-    }
-
-    /// Sets the sharded engine's partition count.
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = Some(n);
-        self
-    }
-
-    /// Sets the sharded engine's synchronization window (µs). Values
-    /// above the lookahead floor relax cross-partition event timing.
-    pub fn with_shard_window_us(mut self, us: u64) -> Self {
-        self.shard_window_us = Some(us);
-        self
-    }
-
     /// Validates the configuration.
     ///
     /// # Panics
@@ -307,6 +258,15 @@ impl ExperimentConfig {
                 self.mode.is_lazy(),
                 "a controller cluster requires a lazy mode"
             );
+            // The cluster plane freezes the bootstrap grouping, so a
+            // dynamic run would silently be a static one under the wrong
+            // label.
+            assert!(
+                self.mode != ControlMode::LazyDynamic,
+                "mode {} is not supported with a controller cluster ({n} members): \
+                 the cluster keeps grouping static",
+                self.mode.label()
+            );
         }
         if let Some(ms) = self.cluster_flush_interval_ms {
             assert!(ms > 0, "cluster flush interval must be positive");
@@ -322,21 +282,6 @@ impl ExperimentConfig {
             assert!(cost > 0, "ingress cost must be positive");
         }
         assert!(self.sgi_parallelism > 0, "sgi_parallelism must be positive");
-        if let Some(w) = self.workers {
-            assert!(w > 0, "workers must be positive");
-        }
-        if let Some(s) = self.shards {
-            assert!(
-                s > 0 && s < usize::from(u16::MAX),
-                "shards must be in 1..65535"
-            );
-        }
-        if self.workers.is_none() {
-            assert!(
-                self.shards.is_none() && self.shard_window_us.is_none(),
-                "shards/shard_window_us require the sharded engine (set workers)"
-            );
-        }
         self.plan.validate();
         if self.cluster_controllers.is_none() {
             assert!(
@@ -399,6 +344,14 @@ mod tests {
     fn ingress_slots_need_a_cluster() {
         ExperimentConfig::new(ControlMode::LazyStatic)
             .with_ingress_slots(64)
+            .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "mode lazyctrl-dynamic is not supported with a controller cluster")]
+    fn dynamic_mode_rejects_a_cluster() {
+        ExperimentConfig::new(ControlMode::LazyDynamic)
+            .with_cluster(2)
             .validate();
     }
 

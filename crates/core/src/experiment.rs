@@ -1,7 +1,7 @@
 //! The experiment driver: trace in, report out.
 
 use lazyctrl_obs::{EngineProfile, FlightRecorder, ObsConfig, PhaseTimings, RecorderStats};
-use lazyctrl_sim::{run, EventQueue, SimDuration, SimTime};
+use lazyctrl_sim::{run, EventQueue, Scheduler, SimDuration, SimTime};
 use lazyctrl_trace::Trace;
 use std::time::Instant;
 
@@ -84,7 +84,7 @@ impl Experiment {
         let mode = cfg.mode;
         let horizon = run_horizon(&trace, &cfg);
 
-        let mut queue: EventQueue<Ev> = EventQueue::with_kind(cfg.scheduler);
+        let mut queue: EventQueue<Ev> = EventQueue::new();
         // Schedule every flow arrival up front (they're already sorted).
         for (i, f) in trace.flows.iter().enumerate() {
             if SimTime::from_nanos(f.time_ns) > horizon {
@@ -100,28 +100,12 @@ impl Experiment {
         }
 
         let mut world = DataCenterWorld::new(trace, cfg);
-        {
-            // Bootstrap needs a scheduler; run a tiny prologue through the
-            // kernel by scheduling from a scratch queue.
-            let mut sched_queue = std::mem::take(&mut queue);
-            let mut sched = scheduler_for(&mut sched_queue);
-            world.bootstrap(&mut sched);
-            queue = sched_queue;
-        }
+        world.bootstrap(&mut Scheduler::over(&mut queue));
 
         let t_run = Instant::now();
         let build_s = (t_run - t_build).as_secs_f64();
-        let (mut world, events_processed) = match world.cfg.workers {
-            Some(workers) => {
-                let r = crate::shard::run_sharded_experiment(world, queue, horizon, workers);
-                (r.world, r.events_processed)
-            }
-            None => {
-                run(&mut world, &mut queue, horizon);
-                let popped = queue.popped_total();
-                (world, popped)
-            }
-        };
+        run(&mut world, &mut queue, horizon);
+        let events_processed = queue.popped_total();
         let t_report = Instant::now();
         let run_s = (t_report - t_run).as_secs_f64();
 
@@ -176,7 +160,6 @@ impl Experiment {
         let max_gfib_bytes = world
             .switches
             .iter()
-            .flatten()
             .map(|s| s.gfib().storage_bytes() as u64)
             .max()
             .unwrap_or(0);
@@ -328,10 +311,4 @@ fn run_horizon(trace: &Trace, cfg: &ExperimentConfig) -> SimTime {
     cfg.horizon_hours
         .map(SimTime::from_hours)
         .unwrap_or(SimTime::from_nanos(trace.duration_ns) + SimDuration::from_secs(3600))
-}
-
-/// Builds a scheduler over a queue (free function to satisfy borrowck in
-/// the bootstrap prologue).
-fn scheduler_for<E>(queue: &mut EventQueue<E>) -> lazyctrl_sim::Scheduler<'_, E> {
-    lazyctrl_sim::Scheduler::over(queue)
 }

@@ -47,7 +47,6 @@ mod config;
 mod experiment;
 mod report;
 pub mod scenarios;
-mod shard;
 pub mod telemetry;
 mod world;
 
@@ -64,5 +63,5 @@ pub use lazyctrl_cluster::DisseminationStrategy;
 pub use lazyctrl_controller::{BaselineController, LazyController};
 pub use lazyctrl_obs::ObsConfig;
 pub use lazyctrl_proto::{EventPlan, InjectedEvent, ScheduledEvent};
-pub use lazyctrl_sim::{BandwidthModel, ChannelClass, SchedulerKind};
+pub use lazyctrl_sim::{BandwidthModel, ChannelClass};
 pub use lazyctrl_switch::EdgeSwitch;

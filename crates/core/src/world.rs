@@ -272,29 +272,7 @@ impl AnyController {
     }
 }
 
-/// Partition context for the sharded engine (`cfg.workers`): present only
-/// on worlds produced by [`DataCenterWorld::split`]. Partition 0 is the
-/// *hub* — it owns the entire control plane plus its share of switches;
-/// partitions 1.. own switches only. The owner map is a placement
-/// function over switch IDs, fixed for the whole run (migrations and
-/// regroups do not re-shard; see the forwarding checks in
-/// `dispatch_event`).
-pub(crate) struct PartitionCtx {
-    /// This partition's index (0 = hub).
-    pub(crate) id: u16,
-    /// `owner[switch] = partition index` for every switch.
-    pub(crate) owner: std::sync::Arc<Vec<u16>>,
-    /// Cross-partition sends staged during the current event; drained
-    /// into the shard executor's outbox after each handler.
-    pub(crate) staged: Vec<(u16, SimTime, Ev)>,
-    /// RNG used while applying *global* (injected) events. Identically
-    /// seeded on every partition and only ever advanced by globals —
-    /// which all partitions apply in lockstep — so replicated draws
-    /// (migration targets, burst pairs) agree everywhere by construction.
-    pub(crate) global_rng: StdRng,
-}
-
-/// Per-switch controller re-homing state (hub only, cluster mode).
+/// Per-switch controller re-homing state (cluster mode).
 ///
 /// A switch cannot observe network reachability directly — it observes
 /// silence. This models the detection lag: the first blocked message
@@ -317,8 +295,7 @@ struct RehomeState {
 }
 
 /// Where a switch's controller-bound message lands under the current
-/// reachability map (cluster mode; decided at the hub, which owns both
-/// the ownership map and the re-homing state).
+/// reachability map (cluster mode).
 enum CtrlRoute {
     /// Normal path: the plane routes by group ownership.
     Owner,
@@ -333,17 +310,12 @@ enum CtrlRoute {
 pub(crate) struct DataCenterWorld {
     pub(crate) cfg: ExperimentConfig,
     pub(crate) trace: Trace,
-    /// Slot per switch; `None` for switches owned by another partition
-    /// (always all `Some` on the single-threaded path and after merge).
-    pub(crate) switches: Vec<Option<EdgeSwitch>>,
+    pub(crate) switches: Vec<EdgeSwitch>,
     pub(crate) controller: AnyController,
     pub(crate) links: LinkState,
     latency: LatencyModel,
     /// Fair-share bandwidth model pricing *load* on capacitated links
-    /// (serialization + queueing, closed-form, zero RNG). Cloned into
-    /// every partition at `split` — sound because each directed link's
-    /// sender dispatches in exactly one partition, so its watermark is
-    /// only ever touched there.
+    /// (serialization + queueing, closed-form, zero RNG).
     bandwidth: BandwidthModel,
     rng: StdRng,
     pub(crate) metrics: MetricsSink,
@@ -377,15 +349,11 @@ pub(crate) struct DataCenterWorld {
     /// first checkpoint that differs instead of diffing whole reports.
     pub(crate) cluster_fingerprints: Vec<u64>,
     /// Controller re-homing state per switch (see [`RehomeState`]).
-    /// Populated only at the hub, where controller-bound traffic lands.
     rehome: std::collections::BTreeMap<u32, RehomeState>,
     /// Flight recorder + profiler, present only when `cfg.obs.enabled`.
     /// Strictly read-only observers: nothing here may touch the RNG,
     /// scheduling, or any quantity that feeds the report.
     pub(crate) obs: Option<Box<WorldObs>>,
-    /// Sharded-engine partition context; `None` on the single-threaded
-    /// path, where every routing helper degenerates to a local schedule.
-    pub(crate) part: Option<Box<PartitionCtx>>,
 }
 
 impl DataCenterWorld {
@@ -492,7 +460,7 @@ impl DataCenterWorld {
             bandwidth: std::mem::take(&mut cfg.bandwidth),
             cfg,
             trace,
-            switches: switches.into_iter().map(Some).collect(),
+            switches,
             controller,
             links: LinkState::new(),
             metrics: MetricsSink::new(),
@@ -510,7 +478,6 @@ impl DataCenterWorld {
             cluster_fingerprints: Vec::new(),
             rehome: std::collections::BTreeMap::new(),
             obs,
-            part: None,
         }
     }
 
@@ -630,7 +597,7 @@ impl DataCenterWorld {
                         if self.bandwidth.class_enabled(ChannelClass::Control) {
                             delay += self.bandwidth.delay(link, msg.wire_len() as u64, now);
                         }
-                        self.route_to_hub(now, delay, Ev::MsgToController { from, msg }, sched);
+                        sched.schedule_in(now, delay, Ev::MsgToController { from, msg });
                     }
                 }
                 SwitchOutput::ToState(msg) => {
@@ -650,7 +617,7 @@ impl DataCenterWorld {
                         if self.bandwidth.class_enabled(ChannelClass::State) {
                             delay += self.bandwidth.delay(link, msg.wire_len() as u64, now);
                         }
-                        self.route_to_hub(now, delay, Ev::MsgToController { from, msg }, sched);
+                        sched.schedule_in(now, delay, Ev::MsgToController { from, msg });
                     }
                 }
                 SwitchOutput::ToPeer(to, msg) => {
@@ -670,13 +637,7 @@ impl DataCenterWorld {
                         if self.bandwidth.class_enabled(ChannelClass::Peer) {
                             delay += self.bandwidth.delay(link, msg.wire_len() as u64, now);
                         }
-                        self.route_to_switch(
-                            now,
-                            delay,
-                            to,
-                            Ev::MsgToSwitch { to, from, msg },
-                            sched,
-                        );
+                        sched.schedule_in(now, delay, Ev::MsgToSwitch { to, from, msg });
                     }
                 }
                 SwitchOutput::Tunnel(to, packet) => {
@@ -696,13 +657,7 @@ impl DataCenterWorld {
                         if self.bandwidth.class_enabled(ChannelClass::Data) {
                             delay += self.bandwidth.delay(link, packet.wire_len() as u64, now);
                         }
-                        self.route_to_switch(
-                            now,
-                            delay,
-                            to,
-                            Ev::TunnelArrive { to, packet },
-                            sched,
-                        );
+                        sched.schedule_in(now, delay, Ev::TunnelArrive { to, packet });
                     }
                 }
                 SwitchOutput::DeliverLocal(_port, frame) => {
@@ -814,16 +769,14 @@ impl DataCenterWorld {
         let at = self.trace.topology.switch_of(dst_host);
         let port = self.port_of(dst_host);
         self.note_emission(emit, &response);
-        self.route_to_switch(
+        sched.schedule_in(
             now,
             SimDuration::from_micros(200),
-            at,
             Ev::LocalFrame {
                 switch: at,
                 port,
                 frame: response,
             },
-            sched,
         );
     }
 
@@ -852,16 +805,14 @@ impl DataCenterWorld {
                         if self.bandwidth.class_enabled(ChannelClass::Control) {
                             delay += self.bandwidth.delay(link, msg.wire_len() as u64, now);
                         }
-                        self.route_to_switch(
+                        sched.schedule_in(
                             now,
                             delay,
-                            to,
                             Ev::MsgToSwitch {
                                 to,
                                 from: SwitchId::CONTROLLER,
                                 msg,
                             },
-                            sched,
                         );
                     }
                 }
@@ -911,16 +862,14 @@ impl DataCenterWorld {
                         if self.bandwidth.class_enabled(ChannelClass::Control) {
                             delay += self.bandwidth.delay(link, msg.wire_len() as u64, now);
                         }
-                        self.route_to_switch(
+                        sched.schedule_in(
                             now,
                             delay,
-                            to,
                             Ev::MsgToSwitch {
                                 to,
                                 from: SwitchId::CONTROLLER,
                                 msg,
                             },
-                            sched,
                         );
                     }
                 }
@@ -969,8 +918,7 @@ impl DataCenterWorld {
     /// Decides where a switch's controller-bound message lands under the
     /// current reachability map (cluster mode; see [`RehomeState`] for
     /// the detection/return model). Pure link-state consultation — no
-    /// RNG is drawn, so the hub-only call site cannot desynchronize the
-    /// sharded engine's replicated streams.
+    /// RNG is drawn.
     fn cluster_route(&mut self, now: SimTime, from: SwitchId) -> CtrlRoute {
         let Some(plane) = self.controller.cluster() else {
             return CtrlRoute::Owner;
@@ -1085,17 +1033,7 @@ impl DataCenterWorld {
         event: InjectedEvent,
         sched: &mut Scheduler<'_, Ev>,
     ) {
-        // Under the sharded engine this runs on *every* partition (with
-        // the replicated global RNG swapped in — see `handle_global`).
-        // Shared state (topology, links, latency) mutates identically
-        // everywhere; run-wide effects (counters, traces, fingerprints)
-        // are gated to the hub; per-switch effects to the owner. The
-        // lockstep invariant: a draw from `self.rng` in this scope must
-        // happen on every partition or on none — anything gated to the
-        // hub (or an owner) has to swap the partition-local RNG back in
-        // first.
-        let hub = self.is_hub();
-        if let Some(obs) = self.obs.as_mut().filter(|_| hub) {
+        if let Some(obs) = &mut self.obs {
             let (kind, a, b) = match &event {
                 InjectedEvent::CrashController(id) => (tk::CRASH_CONTROLLER, *id, 0),
                 InjectedEvent::RecoverController(id) => (tk::RECOVER_CONTROLLER, *id, 0),
@@ -1119,9 +1057,7 @@ impl DataCenterWorld {
         }
         match event {
             InjectedEvent::CrashController(id) => {
-                if hub {
-                    self.metrics.count("controller_crashes", 1);
-                }
+                self.metrics.count("controller_crashes", 1);
                 if let AnyController::Cluster(plane) = &mut self.controller {
                     plane.step_crash(id);
                     self.cluster_fingerprints.push(plane.fingerprint());
@@ -1132,22 +1068,10 @@ impl DataCenterWorld {
                     plane.step_recover(id, &mut self.cluster_sink);
                     self.cluster_fingerprints.push(plane.fingerprint());
                 }
-                // Recovery outputs exist only on the hub (shards hold a
-                // placeholder controller), so any delivery/latency draws
-                // the dispatch makes must come from the partition-local
-                // stream: drawing them from the replicated global RNG
-                // would advance the hub's copy past every shard's and
-                // silently desynchronize later replicated draws
-                // (migration targets, burst pairs). Swap the local RNG
-                // back in around the dispatch.
-                self.swap_global_rng();
                 self.dispatch_cluster_outputs(now, sched);
-                self.swap_global_rng();
             }
             InjectedEvent::CrashSwitch(s) => {
-                if hub {
-                    self.metrics.count("switch_crashes", 1);
-                }
+                self.metrics.count("switch_crashes", 1);
                 self.links.set_node_down(s.0, true);
             }
             InjectedEvent::RecoverSwitch(s) => {
@@ -1164,33 +1088,23 @@ impl DataCenterWorld {
                     }
                 }
                 // §III-E.3 comeback: the rebooted switch pings the
-                // controller, which resynchronizes its group state. The
-                // latency draw is unconditional (every partition's
-                // replicated RNG must advance in lockstep); only the
-                // switch's owner emits the ping.
+                // controller, which resynchronizes its group state.
                 let delay = self.latency.sample(ChannelClass::Control, &mut self.rng);
-                if self.owns_switch(s.0) {
-                    self.route_to_hub(
-                        now,
-                        delay,
-                        Ev::MsgToController {
-                            from: s,
-                            msg: Message::of(0, lazyctrl_proto::OfMessage::Hello),
-                        },
-                        sched,
-                    );
-                }
+                sched.schedule_in(
+                    now,
+                    delay,
+                    Ev::MsgToController {
+                        from: s,
+                        msg: Message::of(0, lazyctrl_proto::OfMessage::Hello),
+                    },
+                );
             }
             InjectedEvent::LinkDegrade { class, factor } => {
-                if hub {
-                    self.metrics.count("link_degrades", 1);
-                }
+                self.metrics.count("link_degrades", 1);
                 self.latency.degrade(class, factor);
             }
             InjectedEvent::LinkLoss { class, loss } => {
-                if hub {
-                    self.metrics.count("link_loss_changes", 1);
-                }
+                self.metrics.count("link_loss_changes", 1);
                 self.links.set_class_loss(class, loss);
             }
             InjectedEvent::MigrateHosts { batch } => {
@@ -1200,18 +1114,11 @@ impl DataCenterWorld {
                 self.traffic_burst(now, scale, sched);
             }
             InjectedEvent::PartitionNetwork { groups } => {
-                if hub {
-                    self.metrics.count("network_partitions", 1);
-                }
-                // Reachability is a pure link-state mutation, identical
-                // on every partition and drawing no randomness — the
-                // lockstep RNG invariant holds trivially.
+                self.metrics.count("network_partitions", 1);
                 self.links.set_partition(&groups);
             }
             InjectedEvent::HealPartition => {
-                if hub {
-                    self.metrics.count("partition_heals", 1);
-                }
+                self.metrics.count("partition_heals", 1);
                 self.links.heal_partition();
             }
         }
@@ -1254,24 +1161,19 @@ impl DataCenterWorld {
             let port = PortNo::new(self.next_port[new.index()]);
             self.next_port[new.index()] += 1;
             self.host_port[host.index()] = port;
-            if self.is_hub() {
-                self.metrics.count("host_migrations", 1);
-            }
+            self.metrics.count("host_migrations", 1);
             // The re-plugged host announces itself from its new switch;
-            // migrations in one batch land a millisecond apart. Only the
-            // new switch's owner emits the (strictly local) announcement.
-            if self.owns_switch(new.0) {
-                let frame = gratuitous_announcement(host, self.trace.topology.tenant_of(host));
-                sched.schedule_in(
-                    now,
-                    SimDuration::from_millis(1 + k as u64),
-                    Ev::LocalFrame {
-                        switch: new,
-                        port,
-                        frame,
-                    },
-                );
-            }
+            // migrations in one batch land a millisecond apart.
+            let frame = gratuitous_announcement(host, self.trace.topology.tenant_of(host));
+            sched.schedule_in(
+                now,
+                SimDuration::from_millis(1 + k as u64),
+                Ev::LocalFrame {
+                    switch: new,
+                    port,
+                    frame,
+                },
+            );
         }
     }
 
@@ -1286,15 +1188,11 @@ impl DataCenterWorld {
         let spacing = SimDuration::from_nanos(SimDuration::from_secs(60).as_nanos() / n);
         let mut offset = SimDuration::ZERO;
         for _ in 0..n {
-            // Draws are unconditional (lockstep RNG); each arrival is
-            // scheduled only by the partition owning its ingress switch.
             let src = HostId::new(self.rng.gen_range(0..num_hosts));
             let hop = 1 + self.rng.gen_range(0..num_hosts - 1);
             let dst = HostId::new((src.0 + hop) % num_hosts);
             offset += spacing;
-            if self.owns_switch(self.trace.topology.switch_of(src).0) {
-                sched.schedule_in(now, offset, Ev::SyntheticFlow { src, dst });
-            }
+            sched.schedule_in(now, offset, Ev::SyntheticFlow { src, dst });
         }
     }
 
@@ -1340,10 +1238,12 @@ impl DataCenterWorld {
                 EtherType::ARP,
                 arp.encode(),
             );
-            self.switches[at.index()]
-                .as_mut()
-                .expect("flow starts at an owned switch")
-                .handle_local_frame(now.as_nanos(), port, arp_frame, &mut self.switch_sink);
+            self.switches[at.index()].handle_local_frame(
+                now.as_nanos(),
+                port,
+                arp_frame,
+                &mut self.switch_sink,
+            );
             self.dispatch_switch_outputs(now, at, sched);
             // The data packet follows shortly after resolution.
             let emit = now + SimDuration::from_millis(1);
@@ -1361,10 +1261,12 @@ impl DataCenterWorld {
         } else {
             let frame = self.frame_for_flow(src, dst, now.as_nanos());
             self.note_emission(now, &frame);
-            self.switches[at.index()]
-                .as_mut()
-                .expect("flow starts at an owned switch")
-                .handle_local_frame(now.as_nanos(), port, frame, &mut self.switch_sink);
+            self.switches[at.index()].handle_local_frame(
+                now.as_nanos(),
+                port,
+                frame,
+                &mut self.switch_sink,
+            );
             self.dispatch_switch_outputs(now, at, sched);
         }
     }
@@ -1392,212 +1294,11 @@ impl DataCenterWorld {
             }
         }
     }
-
-    /// True when this partition owns switch `s` (always true on the
-    /// single-threaded path).
-    #[inline]
-    fn owns_switch(&self, s: u32) -> bool {
-        self.part
-            .as_ref()
-            .is_none_or(|p| p.owner[s as usize] == p.id)
-    }
-
-    /// True on the hub partition — the one holding the control plane and
-    /// run-wide counters (always true on the single-threaded path).
-    /// Inside a *global* event handler this gates everything that must
-    /// happen exactly once per run rather than once per partition.
-    #[inline]
-    fn is_hub(&self) -> bool {
-        self.part.as_ref().is_none_or(|p| p.id == 0)
-    }
-
-    /// Schedules `ev` for switch `to`'s partition: locally when owned,
-    /// otherwise staged for the cross-partition exchange.
-    fn route_to_switch(
-        &mut self,
-        now: SimTime,
-        delay: SimDuration,
-        to: SwitchId,
-        ev: Ev,
-        sched: &mut Scheduler<'_, Ev>,
-    ) {
-        match &mut self.part {
-            Some(p) if p.owner[to.index()] != p.id => {
-                p.staged.push((p.owner[to.index()], now + delay, ev));
-            }
-            _ => sched.schedule_in(now, delay, ev),
-        }
-    }
-
-    /// Schedules `ev` for the hub (controller/cluster) partition.
-    fn route_to_hub(
-        &mut self,
-        now: SimTime,
-        delay: SimDuration,
-        ev: Ev,
-        sched: &mut Scheduler<'_, Ev>,
-    ) {
-        match &mut self.part {
-            Some(p) if p.id != 0 => p.staged.push((0, now + delay, ev)),
-            _ => sched.schedule_in(now, delay, ev),
-        }
-    }
-
-    /// Swaps the partition's global-event RNG into place (and back): see
-    /// [`PartitionCtx::global_rng`]. No-op on the single-threaded path.
-    fn swap_global_rng(&mut self) {
-        if let Some(p) = &mut self.part {
-            std::mem::swap(&mut self.rng, &mut p.global_rng);
-        }
-    }
-
-    /// Applies one global (injected) event under the replicated RNG. The
-    /// shard executor calls this on *every* partition at the event's
-    /// barrier; effect gating (`is_hub`/`owns_switch`) inside
-    /// `apply_injected` keeps run-wide effects single-shot while shared
-    /// state (topology, links, latency) mutates identically everywhere.
-    pub(crate) fn handle_global(
-        &mut self,
-        now: SimTime,
-        event: &InjectedEvent,
-        sched: &mut Scheduler<'_, Ev>,
-    ) {
-        self.swap_global_rng();
-        self.apply_injected(now, event.clone(), sched);
-        self.swap_global_rng();
-    }
-
-    /// The minimum cross-partition delivery latency — the sharded
-    /// engine's default (timing-exact) synchronization window. CtrlPeer
-    /// is excluded: controller-to-controller traffic never leaves the
-    /// hub partition.
-    pub(crate) fn lookahead_floor(&self) -> SimDuration {
-        self.latency.lookahead_floor(&[
-            ChannelClass::Data,
-            ChannelClass::Control,
-            ChannelClass::State,
-            ChannelClass::Peer,
-        ])
-    }
-
-    /// Splits this world into `nparts` partition worlds along `owner`
-    /// (`owner[switch] = partition`). Partition 0 — the hub — keeps the
-    /// whole control plane, the run RNG, metrics and observability;
-    /// partitions 1.. get fresh per-partition state, deterministically
-    /// derived RNG streams, and their owned switches. Shared read-mostly
-    /// state (topology, links, latency) is replicated and kept identical
-    /// by the lockstep global-event protocol.
-    pub(crate) fn split(
-        mut self,
-        owner: std::sync::Arc<Vec<u16>>,
-        nparts: u16,
-    ) -> Vec<DataCenterWorld> {
-        assert!(nparts >= 1, "need at least the hub partition");
-        assert_eq!(owner.len(), self.switches.len(), "owner map size mismatch");
-        let global_seed = self.cfg.seed ^ 0x610ba1;
-        let mut parts: Vec<DataCenterWorld> = Vec::with_capacity(nparts as usize);
-        for p in 1..nparts {
-            let cfg = self.cfg.clone();
-            let obs = cfg.obs.enabled.then(|| {
-                Box::new(WorldObs {
-                    recorder: FlightRecorder::new(cfg.obs.ring_capacity),
-                    profile: EngineProfile::new(
-                        EVENT_KIND_NAMES.len(),
-                        EVENT_KIND_SUBSYS.to_vec(),
-                        cfg.obs.profile_sample_every,
-                    ),
-                })
-            });
-            parts.push(DataCenterWorld {
-                // A distinct, seed-derived stream per partition (golden
-                // ratio stride): which jitter samples a message draws
-                // depends on the partition layout, not on thread timing,
-                // so any fixed layout is deterministic at every worker
-                // count.
-                rng: StdRng::seed_from_u64(
-                    cfg.seed ^ 0x57a7e ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(p) + 1),
-                ),
-                latency: self.latency.clone(),
-                bandwidth: self.bandwidth.clone(),
-                trace: self.trace.clone(),
-                switches: (0..self.switches.len()).map(|_| None).collect(),
-                // Placeholder: shard partitions never dispatch to a
-                // controller (controller-bound traffic routes to the hub).
-                controller: AnyController::Baseline(BaselineController::new(Vec::new())),
-                links: self.links.clone(),
-                metrics: MetricsSink::new(),
-                host_port: self.host_port.clone(),
-                next_port: self.next_port.clone(),
-                seen_pairs: HashSet::new(),
-                responded: HashSet::new(),
-                workload_bucket: self.workload_bucket,
-                severed_timers: std::collections::BTreeSet::new(),
-                last_updates_applied: 0,
-                flow_latencies: Vec::new(),
-                switch_sink: OutputSink::new(),
-                ctrl_sink: OutputSink::new(),
-                cluster_sink: OutputSink::new(),
-                cluster_fingerprints: Vec::new(),
-                rehome: std::collections::BTreeMap::new(),
-                obs,
-                part: Some(Box::new(PartitionCtx {
-                    id: p,
-                    owner: owner.clone(),
-                    staged: Vec::new(),
-                    global_rng: StdRng::seed_from_u64(global_seed),
-                })),
-                cfg,
-            });
-        }
-        // Hand each shard its switches; the hub keeps the remainder.
-        for (s, slot) in self.switches.iter_mut().enumerate() {
-            let o = owner[s];
-            if o != 0 {
-                parts[usize::from(o) - 1].switches[s] = slot.take();
-            }
-        }
-        self.part = Some(Box::new(PartitionCtx {
-            id: 0,
-            owner,
-            staged: Vec::new(),
-            global_rng: StdRng::seed_from_u64(global_seed),
-        }));
-        parts.insert(0, self);
-        parts
-    }
-
-    /// Reassembles one world from the partitions a sharded run produced:
-    /// the hub absorbs every shard's switches, metrics, flow latencies
-    /// and observability (in partition order, so the merge is
-    /// deterministic). Report collection then runs unchanged.
-    pub(crate) fn merge_partitions(parts: Vec<DataCenterWorld>) -> DataCenterWorld {
-        let mut iter = parts.into_iter();
-        let mut hub = iter.next().expect("hub partition");
-        for mut shard in iter {
-            for (slot, taken) in hub.switches.iter_mut().zip(shard.switches.iter_mut()) {
-                if taken.is_some() {
-                    debug_assert!(slot.is_none(), "switch owned by two partitions");
-                    *slot = taken.take();
-                }
-            }
-            hub.metrics.merge(&shard.metrics);
-            // Concatenated in partition order (not globally time-sorted):
-            // deterministic, and downstream consumers aggregate anyway.
-            hub.flow_latencies.append(&mut shard.flow_latencies);
-            if let (Some(hobs), Some(sobs)) = (hub.obs.as_deref_mut(), shard.obs.as_deref()) {
-                hobs.profile.merge(&sobs.profile);
-                hobs.recorder.merge(&sobs.recorder);
-            }
-        }
-        hub.part = None;
-        hub
-    }
 }
 
 /// Deterministic per-switch probe jitter (splitmix64 of seed, switch and
 /// attempt, reduced into `window_ns`). Hash-derived rather than drawn
-/// from the run RNG so re-homing perturbs no other sampling stream —
-/// bit-identical runs across worker counts come for free.
+/// from the run RNG so re-homing perturbs no other sampling stream.
 fn rehome_jitter_ns(seed: u64, switch: u32, attempts: u32, window_ns: u64) -> u64 {
     if window_ns == 0 {
         return 0;
@@ -1628,25 +1329,6 @@ impl DataCenterWorld {
         match event {
             Ev::FlowArrival(i) => {
                 let flow = self.trace.flows[i];
-                // The partition map places arrivals by the source host's
-                // switch *at split time*; a later migration can move the
-                // host, so re-resolve and forward to the current owner.
-                // The zero-delay forward lands below the merge floor and
-                // is bumped to the epoch horizon (counted in
-                // `ShardStats::bumped_events`), so a migrated host's
-                // flow starts up to one window late — deterministically,
-                // and only for hosts a fault moved across partitions.
-                let ingress = self.trace.topology.switch_of(flow.src);
-                if !self.owns_switch(ingress.0) {
-                    self.route_to_switch(
-                        now,
-                        SimDuration::ZERO,
-                        ingress,
-                        Ev::FlowArrival(i),
-                        sched,
-                    );
-                    return;
-                }
                 self.metrics.count("flows_started", 1);
                 self.start_flow(now, flow.src, flow.dst, sched);
             }
@@ -1658,10 +1340,12 @@ impl DataCenterWorld {
                 if !self.links.is_node_up(switch.0) {
                     return;
                 }
-                self.switches[switch.index()]
-                    .as_mut()
-                    .expect("local frame routed to its owner")
-                    .handle_local_frame(now.as_nanos(), port, frame, &mut self.switch_sink);
+                self.switches[switch.index()].handle_local_frame(
+                    now.as_nanos(),
+                    port,
+                    frame,
+                    &mut self.switch_sink,
+                );
                 self.dispatch_switch_outputs(now, switch, sched);
             }
             Ev::TunnelArrive { to, packet } => {
@@ -1669,10 +1353,11 @@ impl DataCenterWorld {
                     return;
                 }
                 let is_flood = packet.inner.is_flood();
-                self.switches[to.index()]
-                    .as_mut()
-                    .expect("tunnel routed to its owner")
-                    .handle_tunnel_packet(now.as_nanos(), packet, &mut self.switch_sink);
+                self.switches[to.index()].handle_tunnel_packet(
+                    now.as_nanos(),
+                    packet,
+                    &mut self.switch_sink,
+                );
                 if self.switch_sink.is_empty() && !is_flood {
                     self.metrics.count("tunnel_drops", 1);
                 }
@@ -1696,9 +1381,7 @@ impl DataCenterWorld {
                         }
                     }
                 }
-                let sw = self.switches[to.index()]
-                    .as_mut()
-                    .expect("control message routed to its owner");
+                let sw = &mut self.switches[to.index()];
                 if from == SwitchId::CONTROLLER {
                     sw.handle_control_message(now.as_nanos(), &msg, &mut self.switch_sink);
                 } else {
@@ -1822,20 +1505,6 @@ impl DataCenterWorld {
             }
             Ev::Injected(event) => self.apply_injected(now, event, sched),
             Ev::SyntheticFlow { src, dst } => {
-                // Same owner re-resolution as `FlowArrival`: a migration
-                // may have moved the source host since scheduling (and
-                // the same bump-to-horizon consequence for the forward).
-                let ingress = self.trace.topology.switch_of(src);
-                if !self.owns_switch(ingress.0) {
-                    self.route_to_switch(
-                        now,
-                        SimDuration::ZERO,
-                        ingress,
-                        Ev::SyntheticFlow { src, dst },
-                        sched,
-                    );
-                    return;
-                }
                 self.metrics.count("flows_started", 1);
                 self.metrics.count("burst_flows", 1);
                 self.start_flow(now, src, dst, sched);
@@ -1855,10 +1524,11 @@ impl DataCenterWorld {
                     self.severed_timers.insert((switch.0, timer));
                     return;
                 }
-                self.switches[switch.index()]
-                    .as_mut()
-                    .expect("timer routed to its owner")
-                    .on_timer(now.as_nanos(), timer, &mut self.switch_sink);
+                self.switches[switch.index()].on_timer(
+                    now.as_nanos(),
+                    timer,
+                    &mut self.switch_sink,
+                );
                 self.dispatch_switch_outputs(now, switch, sched);
             }
             Ev::ControllerTimer(timer) => {
@@ -1927,106 +1597,5 @@ mod tests {
             "Ev grew to {} bytes; check Message and frame layouts",
             size_of::<Ev>()
         );
-    }
-
-    /// Regression for the sharded engine's replicated-RNG lockstep:
-    /// `RecoverController` dispatches the recovered member's outputs on
-    /// the hub only (shard partitions hold a placeholder controller), so
-    /// any delivery/latency draw that dispatch makes must come from the
-    /// partition-local RNG. Drawing from the replicated global stream
-    /// would advance the hub's copy past every shard's, and the next
-    /// replicated draw (`MigrateHosts` here) would pick different hosts
-    /// per partition — silently diverging `host_switch`/`next_port`.
-    /// The workers-1-vs-4-vs-8 differential tests cannot catch this
-    /// (every worker count shares the layout, and with it the
-    /// divergence), so this test drives the global barrier by hand and
-    /// compares the partitions' replicated state directly.
-    #[test]
-    fn recover_controller_keeps_global_rng_lockstep() {
-        use crate::scenarios::{CrashRecover, Scenario};
-        use lazyctrl_sim::EventQueue;
-
-        let (trace, cfg, _plan) = CrashRecover.build(0x1C);
-        let mut queue: EventQueue<Ev> = EventQueue::new();
-        let mut world = DataCenterWorld::new(trace, cfg);
-        {
-            let mut sched = Scheduler::over(&mut queue);
-            world.bootstrap(&mut sched);
-        }
-        // Hub + two shards, alternating ownership; any fixed layout
-        // works — the lockstep invariant must hold for all of them.
-        let nparts = 3u16;
-        let owner: Vec<u16> = (0..world.trace.topology.num_switches)
-            .map(|s| 1 + (s % 2) as u16)
-            .collect();
-        let mut parts = world.split(std::sync::Arc::new(owner), nparts);
-        let mut queues: Vec<EventQueue<Ev>> = (0..nparts).map(|_| EventQueue::new()).collect();
-
-        // One global barrier, exactly as the shard coordinator runs it:
-        // the event applied to every partition, in partition order.
-        let at = SimTime::from_secs(3600);
-        fn barrier(
-            parts: &mut [DataCenterWorld],
-            queues: &mut [EventQueue<Ev>],
-            at: SimTime,
-            g: InjectedEvent,
-        ) {
-            for (p, q) in parts.iter_mut().zip(queues.iter_mut()) {
-                let mut sched = Scheduler::over(q);
-                p.handle_global(at, &g, &mut sched);
-            }
-        }
-        barrier(
-            &mut parts,
-            &mut queues,
-            at,
-            InjectedEvent::CrashController(1),
-        );
-        // `recover` currently emits only timer outputs; pre-load a
-        // message output so the recovery dispatch exercises the
-        // delivery/latency draws a chattier comeback protocol would
-        // make. Hub only — exactly what a real cluster plane could do.
-        parts[0].cluster_sink.push(ClusterOutput::ToSwitch {
-            from: 1,
-            to: SwitchId::new(0),
-            msg: Message::of(0, OfMessage::Hello),
-        });
-        barrier(
-            &mut parts,
-            &mut queues,
-            at,
-            InjectedEvent::RecoverController(1),
-        );
-        barrier(
-            &mut parts,
-            &mut queues,
-            at,
-            InjectedEvent::MigrateHosts { batch: 8 },
-        );
-
-        let stream = |w: &DataCenterWorld| -> Vec<u64> {
-            let mut r = w.part.as_ref().expect("split world").global_rng.clone();
-            (0..4).map(|_| r.gen()).collect()
-        };
-        let hub_stream = stream(&parts[0]);
-        for (i, p) in parts.iter().enumerate().skip(1) {
-            assert_eq!(
-                hub_stream,
-                stream(p),
-                "partition {i}: replicated global RNG stream diverged from the hub"
-            );
-            assert_eq!(
-                parts[0].trace.topology.host_switch, p.trace.topology.host_switch,
-                "partition {i}: replicated host placement diverged"
-            );
-            assert_eq!(
-                parts[0].next_port, p.next_port,
-                "partition {i}: replicated port allocator diverged"
-            );
-            assert_eq!(
-                parts[0].host_port, p.host_port,
-                "partition {i}: replicated host-port map diverged"
-            );
-        }
     }
 }

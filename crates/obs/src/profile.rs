@@ -136,29 +136,6 @@ impl EngineProfile {
             .collect()
     }
 
-    /// Fold another profile (same kind space) into this one: exact counts
-    /// and sample totals add, sampled latency histograms merge bucket-wise.
-    /// Used to roll per-partition profiles up into one run-level profile
-    /// after a sharded run.
-    pub fn merge(&mut self, other: &EngineProfile) {
-        assert_eq!(
-            self.counts.len(),
-            other.counts.len(),
-            "profiles must cover the same kind space"
-        );
-        assert_eq!(
-            self.subsys_of, other.subsys_of,
-            "profiles must agree on the kind→subsystem mapping"
-        );
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-        for (h, o) in self.ns.iter_mut().zip(&other.ns) {
-            h.merge(o);
-        }
-        self.samples += other.samples;
-    }
-
     /// Roll dispatch counts and sampled time up by subsystem:
     /// `(subsys, exact count, sampled ns sum)`.
     pub fn subsys_rollup(&self) -> Vec<(u16, u64, f64)> {
@@ -200,28 +177,6 @@ mod tests {
         assert_eq!(rollup[0].0, 0);
         assert_eq!(rollup[0].1, 7);
         assert_eq!(rollup[1].1, 13);
-    }
-
-    #[test]
-    fn merge_adds_counts_and_samples() {
-        let mut a = EngineProfile::new(2, vec![0, 1], 1);
-        let mut b = EngineProfile::new(2, vec![0, 1], 1);
-        for _ in 0..3 {
-            a.dispatch_begin(0);
-            a.dispatch_end();
-        }
-        for _ in 0..5 {
-            b.dispatch_begin(1);
-            b.dispatch_end();
-        }
-        a.merge(&b);
-        assert_eq!(a.total_events(), 8);
-        assert_eq!(a.samples(), 8);
-        let rows = a.kind_profiles();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].count, 3);
-        assert_eq!(rows[1].count, 5);
-        assert_eq!(rows[1].ns.len(), 5, "sampled histograms must merge");
     }
 
     #[test]

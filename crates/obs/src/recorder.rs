@@ -166,37 +166,6 @@ impl FlightRecorder {
     pub fn clear(&mut self) {
         self.recorded = 0;
     }
-
-    /// Fold another recorder's retained records into this ring, interleaved
-    /// by virtual time (`t_ns`, ties keep this ring's records first — a
-    /// total order because each source is already time-sorted). The
-    /// `recorded` counter becomes the sum of both, so drop accounting in
-    /// [`stats`](FlightRecorder::stats) stays truthful after a sharded run's
-    /// per-partition recorders are rolled up.
-    pub fn merge(&mut self, other: &FlightRecorder) {
-        let total = self.recorded + other.recorded;
-        let merged: Vec<TraceRecord> = {
-            let mut v = Vec::with_capacity(self.len() + other.len());
-            let mut a = self.iter().peekable();
-            let mut b = other.iter().peekable();
-            while a.peek().is_some() || b.peek().is_some() {
-                let take_a = match (a.peek(), b.peek()) {
-                    (Some(x), Some(y)) => x.t_ns <= y.t_ns,
-                    (Some(_), None) => true,
-                    _ => false,
-                };
-                let rec = if take_a { a.next() } else { b.next() };
-                v.push(*rec.expect("one side is non-empty"));
-            }
-            v
-        };
-        // Pre-position the counter so pushing the merged tail lands with
-        // `recorded == total` and the ring indices stay self-consistent.
-        self.recorded = total - merged.len() as u64;
-        for rec in merged {
-            self.push(rec);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -240,46 +209,6 @@ mod tests {
         assert_eq!(stats.dropped, 12);
         let times: Vec<u64> = fr.iter().map(|r| r.t_ns).collect();
         assert_eq!(times, (12..20).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn merge_interleaves_by_time_and_sums_recorded() {
-        let mut a = FlightRecorder::new(8);
-        let mut b = FlightRecorder::new(8);
-        for t in [10, 30, 50] {
-            a.push(rec(t, 1));
-        }
-        for t in [20, 30, 60] {
-            b.push(rec(t, 2));
-        }
-        a.merge(&b);
-        let seen: Vec<(u64, u16)> = a.iter().map(|r| (r.t_ns, r.kind)).collect();
-        // Time-sorted; the t=30 tie keeps self's record first.
-        assert_eq!(
-            seen,
-            vec![(10, 1), (20, 2), (30, 1), (30, 2), (50, 1), (60, 2)]
-        );
-        assert_eq!(a.recorded(), 6);
-        assert_eq!(a.stats().dropped, 0);
-    }
-
-    #[test]
-    fn merge_past_capacity_keeps_newest_and_counts_drops() {
-        let mut a = FlightRecorder::new(8);
-        let mut b = FlightRecorder::new(8);
-        for t in 0..6 {
-            a.push(rec(t, 1));
-        }
-        for t in 6..12 {
-            b.push(rec(t, 2));
-        }
-        a.merge(&b);
-        let stats = a.stats();
-        assert_eq!(stats.recorded, 12);
-        assert_eq!(stats.retained, 8);
-        assert_eq!(stats.dropped, 4);
-        let times: Vec<u64> = a.iter().map(|r| r.t_ns).collect();
-        assert_eq!(times, (4..12).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * [`Sgi`] — the paper's **SGI** algorithm (Fig. 3): `IniGroup` for the
 //!   initial grouping and `IncUpdate` for threshold-driven incremental
 //!   regrouping, with Appendix-B extensions (host exclusion, parallel
-//!   merge/split via crossbeam);
+//!   merge/split on `std::thread::scope` workers);
 //! * [`bargain`] — the Appendix-C modified Rubinstein bargaining model for
 //!   dynamic group-size negotiation.
 //!

@@ -15,17 +15,10 @@
 //! The watermark advances by exactly the serialization time of each
 //! message and decays implicitly (an idle link's watermark falls behind
 //! `now`, so the next message pays serialization only). Everything is
-//! integer arithmetic on virtual time — **no RNG draws** — so the
-//! replicated-RNG lockstep of the sharded engine and bit-identical
-//! reports across scheduler backends and worker counts hold by
-//! construction. Classes without a configured capacity cost a single
-//! array read and return zero, keeping the off-path overhead negligible.
-//!
-//! Sharded runs clone the model into every partition at `split`. That is
-//! sound because a directed link's delays are computed where its *sender*
-//! dispatches: a switch's uplinks live on the switch's shard, and every
-//! controller-originated link dispatches on the hub — so each per-link
-//! watermark is only ever touched by one partition.
+//! integer arithmetic on virtual time — **no RNG draws** — so enabling
+//! the model never perturbs the run's latency and loss sampling streams.
+//! Classes without a configured capacity cost a single array read and
+//! return zero, keeping the off-path overhead negligible.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};

@@ -1,22 +1,17 @@
 //! The event queue and driver loop.
 //!
-//! Two scheduler backends implement the same deterministic contract —
-//! events fire in `(time, insertion seq)` order, bit-identically:
+//! [`EventQueue`] is a hierarchical timing wheel: 9 levels of 64 slots
+//! over ~8 µs ticks cover the full `u64` nanosecond range, so
+//! `schedule`/`pop` are near-O(1) amortized instead of the `O(log n)`
+//! cache-missing heap operations that dominated the hot path at paper
+//! scale. Events fire in `(time, insertion seq)` order. See `DESIGN.md`
+//! §"Scheduler".
 //!
-//! * [`WheelQueue`] — a hierarchical timing wheel (the default): 9 levels
-//!   of 64 slots over ~8 µs ticks cover the full `u64` nanosecond range,
-//!   so `schedule`/`pop` are near-O(1) amortized instead of the
-//!   `O(log n)` cache-missing heap operations that dominated the hot
-//!   path at paper scale. See `DESIGN.md` §"Scheduler".
-//! * [`HeapQueue`] — the original `BinaryHeap` scheduler, retained as the
-//!   differential-testing reference (`tests/proptest_scheduler.rs`
-//!   asserts both pop identical sequences under arbitrary schedules).
-//!
-//! [`EventQueue`] fronts both behind one type; the backend is chosen per
-//! queue via [`SchedulerKind`] (experiments expose this as a config knob
-//! so scenario regressions can replay the same run under both). The
-//! compile-time default is the wheel; building `lazyctrl-sim` with the
-//! `heap-sched` feature flips the default back to the heap.
+//! [`HeapQueue`] is the original `BinaryHeap` scheduler with the same
+//! contract. Nothing in the simulator runs on it; it is the reference
+//! that `tests/proptest_scheduler.rs` and the `event_queue` bench drive
+//! side by side with the wheel, and `repro_perf` times it as a hardware
+//! calibrator that no simulator change can move.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -47,41 +42,12 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Which scheduler backend an [`EventQueue`] runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchedulerKind {
-    /// Hierarchical timing wheel (near-O(1); the default).
-    Wheel,
-    /// Binary-heap reference scheduler (O(log n)).
-    Heap,
-}
-
-impl Default for SchedulerKind {
-    fn default() -> Self {
-        if cfg!(feature = "heap-sched") {
-            SchedulerKind::Heap
-        } else {
-            SchedulerKind::Wheel
-        }
-    }
-}
-
-impl SchedulerKind {
-    /// Short label used in reports and bench output.
-    pub fn label(self) -> &'static str {
-        match self {
-            SchedulerKind::Wheel => "wheel",
-            SchedulerKind::Heap => "heap",
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Heap backend (reference implementation)
+// Heap reference
 // ---------------------------------------------------------------------------
 
 /// The original `BinaryHeap` scheduler: `O(log n)` schedule/pop, kept as
-/// the differential-testing reference for [`WheelQueue`].
+/// the differential-testing reference for [`EventQueue`].
 pub struct HeapQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
@@ -119,11 +85,6 @@ impl<E> HeapQueue<E> {
         })
     }
 
-    /// Fire time of the earliest pending event.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
     /// Pops the earliest event if it fires at or before `until`.
     pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, E)> {
         if self.heap.peek().is_some_and(|Reverse(e)| e.at <= until) {
@@ -155,7 +116,7 @@ impl<E> HeapQueue<E> {
 }
 
 // ---------------------------------------------------------------------------
-// Timing-wheel backend
+// Timing wheel
 // ---------------------------------------------------------------------------
 
 /// Tick granularity: 2¹³ ns ≈ 8 µs. Events inside one tick are ordered
@@ -174,7 +135,7 @@ const LEVELS: usize = 9;
 /// The key a wheel slot actually stores and moves: fire time, tie-break
 /// sequence, and the payload's slab index. 24 bytes and `Copy`, so the
 /// cascade/sort churn of the wheel shuffles keys, not full events — the
-/// payload sits still in the slab until its pop (see [`WheelQueue`]).
+/// payload sits still in the slab until its pop (see [`EventQueue`]).
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct Key {
     at: SimTime,
@@ -205,7 +166,11 @@ fn slab_index(len: usize) -> u32 {
         .unwrap_or_else(|_| panic!("wheel payload slab exceeded u32 capacity ({len} live cells)"))
 }
 
-/// A deterministic hierarchical timing wheel.
+/// A deterministic priority queue of future events: a hierarchical
+/// timing wheel.
+///
+/// Events at equal times fire in insertion order, making every simulation
+/// replayable bit-for-bit.
 ///
 /// Invariants (see `DESIGN.md` for the full argument):
 ///
@@ -228,7 +193,7 @@ fn slab_index(len: usize) -> u32 {
 ///   same cache-hot cells), the wheel moves only 24-byte `Key`s, and
 ///   `pop` takes the payload back out of its cell. Park, cascade and the
 ///   ready-stage sort therefore never copy event payloads.
-pub struct WheelQueue<E> {
+pub struct EventQueue<E> {
     /// `LEVELS × SLOTS` buckets, flattened.
     slots: Vec<Vec<Key>>,
     /// Per-level occupancy bitmaps (bit `s` ⇔ slot `s` non-empty).
@@ -254,9 +219,9 @@ pub struct WheelQueue<E> {
     popped: u64,
 }
 
-impl<E> Default for WheelQueue<E> {
+impl<E> Default for EventQueue<E> {
     fn default() -> Self {
-        WheelQueue {
+        EventQueue {
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occ: [0; LEVELS],
             cursor: 0,
@@ -272,10 +237,10 @@ impl<E> Default for WheelQueue<E> {
     }
 }
 
-impl<E> WheelQueue<E> {
+impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        WheelQueue::default()
+        EventQueue::default()
     }
 
     /// Size in bytes of the record a wheel slot stores per pending event
@@ -439,9 +404,9 @@ impl<E> WheelQueue<E> {
         key.map(|k| self.redeem(k))
     }
 
-    /// Pops the earliest event if it fires at or before `until` — one
-    /// prime + one comparison, where a `peek_time` + `pop` pair would
-    /// pay the queue front-end twice. Events beyond `until` stay queued.
+    /// Pops the earliest event if it fires at or before `until` (the
+    /// driver loop's one-call fast path) — one prime + one comparison.
+    /// Events beyond `until` stay queued.
     pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, E)> {
         self.prime();
         let key = if self.extra_first() {
@@ -462,16 +427,6 @@ impl<E> WheelQueue<E> {
         key.map(|k| self.redeem(k))
     }
 
-    /// Fire time of the earliest pending event.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.prime();
-        if self.extra_first() {
-            self.ready_extra.peek().map(|Reverse(k)| k.at)
-        } else {
-            self.ready.last().map(|k| k.at)
-        }
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.in_wheel + self.ready.len() + self.ready_extra.len()
@@ -487,136 +442,16 @@ impl<E> WheelQueue<E> {
         self.next_seq
     }
 
-    /// Total events popped over the queue's lifetime.
-    pub fn popped_total(&self) -> u64 {
-        self.popped
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Facade
-// ---------------------------------------------------------------------------
-
-// One `EventQueue` exists per experiment and lives on the stack for the
-// whole run; the wheel's inline slot/bitmap state dwarfs the heap variant
-// but is never copied, so the size skew is irrelevant here.
-#[allow(clippy::large_enum_variant)]
-enum Backend<E> {
-    Wheel(WheelQueue<E>),
-    Heap(HeapQueue<E>),
-}
-
-/// A deterministic priority queue of future events.
-///
-/// Events at equal times fire in insertion order, making every simulation
-/// replayable bit-for-bit — on either backend (see [`SchedulerKind`]).
-pub struct EventQueue<E> {
-    backend: Backend<E>,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        EventQueue::with_kind(SchedulerKind::default())
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue on the default backend (the timing wheel,
-    /// unless the `heap-sched` feature is enabled).
-    pub fn new() -> Self {
-        EventQueue::default()
-    }
-
-    /// Creates an empty queue on the given backend.
-    pub fn with_kind(kind: SchedulerKind) -> Self {
-        EventQueue {
-            backend: match kind {
-                SchedulerKind::Wheel => Backend::Wheel(WheelQueue::new()),
-                SchedulerKind::Heap => Backend::Heap(HeapQueue::new()),
-            },
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn kind(&self) -> SchedulerKind {
-        match &self.backend {
-            Backend::Wheel(_) => SchedulerKind::Wheel,
-            Backend::Heap(_) => SchedulerKind::Heap,
-        }
-    }
-
-    /// Schedules `event` to fire at absolute time `at`.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        match &mut self.backend {
-            Backend::Wheel(q) => q.schedule(at, event),
-            Backend::Heap(q) => q.schedule(at, event),
-        }
-    }
-
-    /// Pops the earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match &mut self.backend {
-            Backend::Wheel(q) => q.pop(),
-            Backend::Heap(q) => q.pop(),
-        }
-    }
-
-    /// Fire time of the earliest pending event.
-    ///
-    /// Takes `&mut self`: the wheel backend may advance its cursor (and
-    /// cascade slots) to locate the minimum — pending events and their
-    /// order are unaffected.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.backend {
-            Backend::Wheel(q) => q.peek_time(),
-            Backend::Heap(q) => q.peek_time(),
-        }
-    }
-
-    /// Pops the earliest event if it fires at or before `until` (the
-    /// driver loop's one-call fast path).
-    pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, E)> {
-        match &mut self.backend {
-            Backend::Wheel(q) => q.pop_until(until),
-            Backend::Heap(q) => q.pop_until(until),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Wheel(q) => q.len(),
-            Backend::Heap(q) => q.len(),
-        }
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total events scheduled over the queue's lifetime.
-    pub fn scheduled_total(&self) -> u64 {
-        match &self.backend {
-            Backend::Wheel(q) => q.scheduled_total(),
-            Backend::Heap(q) => q.scheduled_total(),
-        }
-    }
-
     /// Total events popped over the queue's lifetime (what an experiment
     /// reports as events processed).
     pub fn popped_total(&self) -> u64 {
-        match &self.backend {
-            Backend::Wheel(q) => q.popped_total(),
-            Backend::Heap(q) => q.popped_total(),
-        }
+        self.popped
     }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("kind", &self.kind().label())
             .field("pending", &self.len())
             .field("scheduled_total", &self.scheduled_total())
             .finish()
@@ -702,88 +537,76 @@ mod tests {
         }
     }
 
-    fn both_kinds() -> [SchedulerKind; 2] {
-        [SchedulerKind::Wheel, SchedulerKind::Heap]
-    }
-
     #[test]
     fn events_fire_in_time_order() {
-        for kind in both_kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_millis(30), 3);
-            q.schedule(SimTime::from_millis(10), 1);
-            q.schedule(SimTime::from_millis(20), 2);
-            let mut w = Recorder { seen: vec![] };
-            run_until_idle(&mut w, &mut q);
-            // Event 1 at t=10 chains event 10 at t=15 (before 2 at t=20) and
-            // event 11 at t=100.
-            let evs: Vec<u32> = w.seen.iter().map(|&(_, e)| e).collect();
-            assert_eq!(evs, vec![1, 10, 2, 3, 11], "{}", kind.label());
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(30), 3);
+        q.schedule(SimTime::from_millis(10), 1);
+        q.schedule(SimTime::from_millis(20), 2);
+        let mut w = Recorder { seen: vec![] };
+        run_until_idle(&mut w, &mut q);
+        // Event 1 at t=10 chains event 10 at t=15 (before 2 at t=20) and
+        // event 11 at t=100.
+        let evs: Vec<u32> = w.seen.iter().map(|&(_, e)| e).collect();
+        assert_eq!(evs, vec![1, 10, 2, 3, 11]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        for kind in both_kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            // Values ≥ 100 so no chaining kicks in.
-            for i in 100..150 {
-                q.schedule(SimTime::from_millis(7), i);
-            }
-            let mut w = Recorder { seen: vec![] };
-            run_until_idle(&mut w, &mut q);
-            let evs: Vec<u32> = w.seen.iter().map(|&(_, e)| e).collect();
-            assert_eq!(evs, (100..150).collect::<Vec<_>>(), "{}", kind.label());
+        let mut q = EventQueue::new();
+        // Values ≥ 100 so no chaining kicks in.
+        for i in 100..150 {
+            q.schedule(SimTime::from_millis(7), i);
         }
+        let mut w = Recorder { seen: vec![] };
+        run_until_idle(&mut w, &mut q);
+        let evs: Vec<u32> = w.seen.iter().map(|&(_, e)| e).collect();
+        assert_eq!(evs, (100..150).collect::<Vec<_>>());
     }
 
     #[test]
     fn run_respects_horizon() {
-        for kind in both_kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_secs(1), 2);
-            q.schedule(SimTime::from_secs(10), 3);
-            let mut w = Recorder { seen: vec![] };
-            let last = run(&mut w, &mut q, SimTime::from_secs(5));
-            assert_eq!(w.seen.len(), 1);
-            assert_eq!(last, SimTime::from_secs(1));
-            assert_eq!(q.len(), 1, "late event remains queued");
-            assert_eq!(q.popped_total(), 1);
-            assert_eq!(q.scheduled_total(), 2);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(1), 2);
+        q.schedule(SimTime::from_secs(10), 3);
+        let mut w = Recorder { seen: vec![] };
+        let last = run(&mut w, &mut q, SimTime::from_secs(5));
+        assert_eq!(w.seen.len(), 1);
+        assert_eq!(last, SimTime::from_secs(1));
+        assert_eq!(q.len(), 1, "late event remains queued");
+        assert_eq!(q.popped_total(), 1);
+        assert_eq!(q.scheduled_total(), 2);
     }
 
     #[test]
     fn empty_queue_returns_zero() {
-        for kind in both_kinds() {
-            let mut q: EventQueue<u32> = EventQueue::with_kind(kind);
-            let mut w = Recorder { seen: vec![] };
-            assert_eq!(run_until_idle(&mut w, &mut q), SimTime::ZERO);
-            assert!(q.is_empty());
-        }
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut w = Recorder { seen: vec![] };
+        assert_eq!(run_until_idle(&mut w, &mut q), SimTime::ZERO);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn determinism_across_runs_and_backends() {
-        let build = |kind| {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_millis(1), 1);
-            q.schedule(SimTime::from_millis(1), 2);
-            q.schedule(SimTime::from_millis(2), 3);
-            q
-        };
+        // Values ≥ 100 so no chaining kicks in: the heap has no driver loop.
+        let schedule = [(1, 101), (1, 102), (2, 103)];
         let mut runs = Vec::new();
-        for kind in [
-            SchedulerKind::Wheel,
-            SchedulerKind::Wheel,
-            SchedulerKind::Heap,
-        ] {
+        for _ in 0..2 {
+            let mut q = EventQueue::new();
+            for &(ms, e) in &schedule {
+                q.schedule(SimTime::from_millis(ms), e);
+            }
             let mut w = Recorder { seen: vec![] };
-            run_until_idle(&mut w, &mut build(kind));
+            run_until_idle(&mut w, &mut q);
             runs.push(w.seen);
         }
         assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[0], runs[2], "wheel and heap must agree");
+        let mut heap = HeapQueue::new();
+        for &(ms, e) in &schedule {
+            heap.schedule(SimTime::from_millis(ms), e);
+        }
+        let heap_order: Vec<(SimTime, u32)> = std::iter::from_fn(|| heap.pop()).collect();
+        assert_eq!(runs[0], heap_order, "wheel and heap must agree");
     }
 
     #[test]
@@ -803,8 +626,8 @@ mod tests {
             u64::MAX >> 1,      // deep into the top level
             u64::MAX - 1,
         ];
-        let mut wheel = EventQueue::with_kind(SchedulerKind::Wheel);
-        let mut heap = EventQueue::with_kind(SchedulerKind::Heap);
+        let mut wheel = EventQueue::new();
+        let mut heap = HeapQueue::new();
         for (i, &t) in times.iter().enumerate() {
             wheel.schedule(SimTime::from_nanos(t), i as u32);
             heap.schedule(SimTime::from_nanos(t), i as u32);
@@ -812,10 +635,7 @@ mod tests {
         loop {
             let a = wheel.pop();
             let b = heap.pop();
-            assert_eq!(
-                a.as_ref().map(|(t, e)| (*t, *e)),
-                b.as_ref().map(|(t, e)| (*t, *e))
-            );
+            assert_eq!(a, b);
             if a.is_none() {
                 break;
             }
@@ -824,17 +644,15 @@ mod tests {
 
     #[test]
     fn scheduling_into_the_past_fires_immediately() {
-        for kind in both_kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_secs(10), 1);
-            assert_eq!(q.pop().map(|(_, e)| e), Some(1));
-            // Cursor (wheel) is now at t=10 s; a smaller time must still
-            // surface, first.
-            q.schedule(SimTime::from_secs(20), 2);
-            q.schedule(SimTime::from_secs(5), 3);
-            assert_eq!(q.pop().map(|(_, e)| e), Some(3), "{}", kind.label());
-            assert_eq!(q.pop().map(|(_, e)| e), Some(2));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(10), 1);
+        assert_eq!(q.pop().map(|(_, e)| e), Some(1));
+        // The cursor is now at t=10 s; a smaller time must still surface,
+        // first.
+        q.schedule(SimTime::from_secs(20), 2);
+        q.schedule(SimTime::from_secs(5), 3);
+        assert_eq!(q.pop().map(|(_, e)| e), Some(3));
+        assert_eq!(q.pop().map(|(_, e)| e), Some(2));
     }
 
     /// Layout contract of the pooled wheel: a slot stores (and the
@@ -843,11 +661,11 @@ mod tests {
     /// keeps the scheduler's per-event cost independent of `E`.
     #[test]
     fn wheel_slot_entries_stay_small() {
-        assert_eq!(WheelQueue::<u64>::slot_entry_size(), 24);
+        assert_eq!(EventQueue::<u64>::slot_entry_size(), 24);
         // The key size must not scale with the payload.
         assert_eq!(
-            WheelQueue::<[u8; 512]>::slot_entry_size(),
-            WheelQueue::<u8>::slot_entry_size()
+            EventQueue::<[u8; 512]>::slot_entry_size(),
+            EventQueue::<u8>::slot_entry_size()
         );
     }
 
@@ -855,7 +673,7 @@ mod tests {
     /// reuses the same hot cells instead of growing the slab.
     #[test]
     fn slab_cells_are_recycled() {
-        let mut q: WheelQueue<u64> = WheelQueue::new();
+        let mut q: EventQueue<u64> = EventQueue::new();
         for round in 0..100u64 {
             q.schedule(SimTime::from_millis(round + 1), round);
             let _ = q.pop();
@@ -889,7 +707,7 @@ mod tests {
     fn wheel_interleaves_sub_tick_times_exactly() {
         // Two events inside one tick (2^TICK_SHIFT ns), scheduled while
         // the first is being handled: order must be by exact nanosecond.
-        let mut q = EventQueue::with_kind(SchedulerKind::Wheel);
+        let mut q = EventQueue::new();
         q.schedule(SimTime::from_nanos(2000), 1);
         q.schedule(SimTime::from_nanos(2500), 2);
         let (t, e) = q.pop().unwrap();

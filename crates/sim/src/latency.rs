@@ -144,23 +144,6 @@ impl LatencyModel {
         );
     }
 
-    /// The guaranteed minimum delivery latency across `classes` — the
-    /// conservative lookahead a partitioned simulation may assume for
-    /// cross-partition messages: `min(base × (1 − jitter))` over the
-    /// classes whose traffic can cross a partition boundary. A sharded
-    /// run whose synchronization window does not exceed this floor never
-    /// defers a cross-partition arrival (exact event timing); note the
-    /// floor shrinks if a fault plan later degrades a class *downward*
-    /// (factor < 1), so callers pinning a window at split time should
-    /// treat such plans as relaxing exactness.
-    pub fn lookahead_floor(&self, classes: &[ChannelClass]) -> SimDuration {
-        classes
-            .iter()
-            .map(|&c| self.base(c).mul_f64(1.0 - self.jitter_frac))
-            .min()
-            .unwrap_or(SimDuration::ZERO)
-    }
-
     /// Samples the delivery latency for one message.
     ///
     /// # Panics
@@ -248,31 +231,6 @@ mod tests {
         );
         m.degrade(ChannelClass::Control, 0.1);
         assert_eq!(m.base(ChannelClass::Control), base);
-    }
-
-    #[test]
-    fn lookahead_floor_is_min_base_minus_jitter() {
-        let m = LatencyModel {
-            jitter_frac: 0.05,
-            ..LatencyModel::default()
-        };
-        let classes = [
-            ChannelClass::Data,
-            ChannelClass::Control,
-            ChannelClass::State,
-            ChannelClass::Peer,
-        ];
-        let floor = m.lookahead_floor(&classes);
-        // Data (120 µs) is the fastest cross class; −5% jitter → 114 µs.
-        assert_eq!(floor, SimDuration::from_micros(120).mul_f64(0.95));
-        // No sample can undercut the floor.
-        let mut rng = StdRng::seed_from_u64(3);
-        for class in classes {
-            for _ in 0..200 {
-                assert!(m.sample(class, &mut rng) >= floor);
-            }
-        }
-        assert_eq!(m.lookahead_floor(&[]), SimDuration::ZERO);
     }
 
     #[test]

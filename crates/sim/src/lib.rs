@@ -7,9 +7,8 @@
 //! * [`SimTime`]/[`SimDuration`] — nanosecond virtual clock;
 //! * [`EventQueue`]/[`Scheduler`]/[`run`] — the kernel: a total order over
 //!   events with deterministic tie-breaking, and a driver loop over a
-//!   user-provided [`World`]. Two interchangeable backends implement the
-//!   order ([`SchedulerKind`]): a hierarchical timing wheel (near-O(1),
-//!   the default) and the original binary heap, kept as the
+//!   user-provided [`World`]. The queue is a hierarchical timing wheel
+//!   (near-O(1)); [`HeapQueue`], the original binary heap, is kept as the
 //!   differential-testing reference;
 //! * [`LatencyModel`] — per-channel-class delivery latencies (data path,
 //!   control link, state link, peer link) with optional deterministic
@@ -64,15 +63,11 @@ mod event;
 mod latency;
 mod link;
 mod metrics;
-mod shard;
 mod time;
 
 pub use bandwidth::BandwidthModel;
-pub use event::{
-    run, run_until_idle, EventQueue, HeapQueue, Scheduler, SchedulerKind, WheelQueue, World,
-};
+pub use event::{run, run_until_idle, EventQueue, HeapQueue, Scheduler, World};
 pub use latency::{ChannelClass, LatencyModel};
 pub use link::{LinkId, LinkState};
 pub use metrics::{Histogram, Log2Histogram, MetricsSink, TimeSeries, LOG2_BUCKETS};
-pub use shard::{run_sharded, Outbox, ShardOpts, ShardStats, ShardWorld};
 pub use time::{SimDuration, SimTime};

@@ -6,8 +6,8 @@
 //! forwarding latency per 2-hour bucket (Fig. 9). [`TimeSeries`] produces
 //! exactly those shapes; [`Histogram`] backs the cold-cache latency numbers.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
@@ -105,25 +105,6 @@ impl TimeSeries {
     pub fn total(&self) -> f64 {
         self.buckets.values().sum()
     }
-
-    /// Folds another series into this one bucket-by-bucket (used when
-    /// merging per-partition metrics after a sharded run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket widths differ.
-    pub fn merge(&mut self, other: &TimeSeries) {
-        assert_eq!(
-            self.bucket_width, other.bucket_width,
-            "cannot merge series with different bucket widths"
-        );
-        for (&b, &v) in &other.buckets {
-            *self.buckets.entry(b).or_insert(0.0) += v;
-        }
-        for (&b, &n) in &other.counts {
-            *self.counts.entry(b).or_insert(0) += n;
-        }
-    }
 }
 
 /// A simple exact histogram of f64 samples (stores all samples; fine at
@@ -136,11 +117,8 @@ pub struct Histogram {
     /// its length equals `samples.len()` (a fresh `record` invalidates by
     /// making the lengths differ). Interior mutability keeps `quantile`
     /// callable through `&self` while repeat calls cost a binary-search
-    /// index instead of a clone + `O(n log n)` sort each. A `Mutex`
-    /// (never contended: uncontended lock is a single atomic) rather than
-    /// a `RefCell` so sinks stay `Send + Sync` and worker threads can
-    /// read quantiles without data races.
-    sorted: Mutex<Vec<f64>>,
+    /// index instead of a clone + `O(n log n)` sort each.
+    sorted: RefCell<Vec<f64>>,
 }
 
 impl Clone for Histogram {
@@ -148,7 +126,7 @@ impl Clone for Histogram {
         // The cache is derived state; a clone starts with a cold cache.
         Histogram {
             samples: self.samples.clone(),
-            sorted: Mutex::new(Vec::new()),
+            sorted: RefCell::new(Vec::new()),
         }
     }
 }
@@ -176,18 +154,7 @@ impl Histogram {
         self.samples.push(value);
         // Cheap invalidation: only clear a cache that exists (repeated
         // record bursts between quantile calls pay one branch each).
-        let cache = self.sorted.get_mut().unwrap_or_else(|p| p.into_inner());
-        if !cache.is_empty() {
-            cache.clear();
-        }
-    }
-
-    /// Appends all of `other`'s samples (sharded-run merge). Sample order
-    /// is concatenation order, so merging in a fixed partition order keeps
-    /// the merged histogram deterministic.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.samples.extend_from_slice(&other.samples);
-        let cache = self.sorted.get_mut().unwrap_or_else(|p| p.into_inner());
+        let cache = self.sorted.get_mut();
         if !cache.is_empty() {
             cache.clear();
         }
@@ -226,7 +193,7 @@ impl Histogram {
         if self.samples.is_empty() {
             return None;
         }
-        let mut cache = self.sorted.lock().unwrap_or_else(|p| p.into_inner());
+        let mut cache = self.sorted.borrow_mut();
         if cache.len() != self.samples.len() {
             cache.clear();
             cache.extend_from_slice(&self.samples);
@@ -379,19 +346,6 @@ impl Log2Histogram {
         Some(self.max)
     }
 
-    /// Folds another histogram into this one (sharded-run merge): bucket
-    /// counts, count and sum add; min/max fold. Exact statistics stay
-    /// exact because they are all associative.
-    pub fn merge(&mut self, other: &Log2Histogram) {
-        for (b, &c) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += c;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Non-empty buckets as `(bucket_upper_edge, count)`, in value order —
     /// the export shape telemetry consumers read.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
@@ -485,33 +439,6 @@ impl MetricsSink {
     /// Reads a named log2 histogram.
     pub fn log2_histogram(&self, name: &str) -> Option<&Log2Histogram> {
         self.log2s.get(name)
-    }
-
-    /// Folds another sink into this one: counters add, series merge
-    /// bucket-wise, exact histograms concatenate samples, log2 histograms
-    /// add bucket counts. Deterministic for a fixed merge order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shared series name has different bucket widths.
-    pub fn merge(&mut self, other: &MetricsSink) {
-        for &(name, v) in &other.counters {
-            self.count(name, v);
-        }
-        for (&name, s) in &other.series {
-            match self.series.get_mut(name) {
-                Some(mine) => mine.merge(s),
-                None => {
-                    self.series.insert(name, s.clone());
-                }
-            }
-        }
-        for (&name, h) in &other.histograms {
-            self.histograms.entry(name).or_default().merge(h);
-        }
-        for (&name, h) in &other.log2s {
-            self.log2s.entry(name).or_default().merge(h);
-        }
     }
 
     /// All counter names and values, sorted by name.
@@ -685,18 +612,6 @@ mod tests {
         sink.series_mut("x", SimDuration::from_secs(2));
     }
 
-    /// Worker threads hold (and merge-threads read) metrics across thread
-    /// boundaries, so every metrics type must be `Send + Sync` — the
-    /// quantile cache in particular must not be `RefCell`-backed.
-    #[test]
-    fn metrics_types_are_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<TimeSeries>();
-        assert_send_sync::<Histogram>();
-        assert_send_sync::<Log2Histogram>();
-        assert_send_sync::<MetricsSink>();
-    }
-
     /// A clone made while the quantile cache is warm still answers
     /// quantiles correctly (the cache is derived state, not identity).
     #[test]
@@ -710,90 +625,5 @@ mod tests {
         assert_eq!(c, h);
         assert_eq!(c.quantile(0.5), Some(4.0));
         assert_eq!(c.quantile(1.0), Some(9.0));
-    }
-
-    #[test]
-    fn series_merge_adds_buckets_and_counts() {
-        let mut a = TimeSeries::new(SimDuration::from_secs(10));
-        a.record(SimTime::from_secs(1), 2.0);
-        let mut b = TimeSeries::new(SimDuration::from_secs(10));
-        b.record(SimTime::from_secs(1), 3.0);
-        b.record(SimTime::from_secs(25), 5.0);
-        a.merge(&b);
-        assert_eq!(a.bucket_sum(SimTime::from_secs(5)), 5.0);
-        assert_eq!(a.bucket_sum(SimTime::from_secs(25)), 5.0);
-        assert_eq!(a.total(), 10.0);
-        // Means use merged counts: bucket 0 holds 2 records summing 5.
-        assert_eq!(a.means()[0].1, 2.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "different bucket widths")]
-    fn series_merge_width_conflict_panics() {
-        let mut a = TimeSeries::new(SimDuration::from_secs(1));
-        a.merge(&TimeSeries::new(SimDuration::from_secs(2)));
-    }
-
-    #[test]
-    fn histogram_merge_concatenates_and_invalidates() {
-        let mut a = Histogram::new();
-        a.record(1.0);
-        assert_eq!(a.quantile(1.0), Some(1.0)); // warm the cache
-        let mut b = Histogram::new();
-        b.record(7.0);
-        b.record(3.0);
-        a.merge(&b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.quantile(1.0), Some(7.0));
-        assert_eq!(a.quantile(0.0), Some(1.0));
-    }
-
-    #[test]
-    fn log2_merge_matches_recording_everything_in_one() {
-        let mut a = Log2Histogram::new();
-        let mut b = Log2Histogram::new();
-        let mut all = Log2Histogram::new();
-        for (i, v) in [0.5, 2.0, 1000.0, 3.0, 0.25].iter().enumerate() {
-            if i % 2 == 0 {
-                a.record(*v)
-            } else {
-                b.record(*v)
-            }
-            all.record(*v);
-        }
-        a.merge(&b);
-        assert_eq!(a, all);
-        let empty = Log2Histogram::new();
-        let mut c = all.clone();
-        c.merge(&empty);
-        assert_eq!(c, all, "merging an empty histogram is a no-op");
-    }
-
-    #[test]
-    fn sink_merge_folds_every_metric_kind() {
-        let mut a = MetricsSink::new();
-        a.count("flows", 2);
-        a.series_mut("workload", SimDuration::from_secs(2))
-            .increment(SimTime::from_secs(1));
-        a.histogram_mut("lat").record(1.0);
-        a.log2_histogram_mut("ns").record(8.0);
-
-        let mut b = MetricsSink::new();
-        b.count("flows", 3);
-        b.count("drops", 1);
-        b.series_mut("workload", SimDuration::from_secs(2))
-            .increment(SimTime::from_secs(1));
-        b.series_mut("extra", SimDuration::from_secs(1))
-            .increment(SimTime::ZERO);
-        b.histogram_mut("lat").record(5.0);
-        b.log2_histogram_mut("ns").record(16.0);
-
-        a.merge(&b);
-        assert_eq!(a.counter("flows"), 5);
-        assert_eq!(a.counter("drops"), 1);
-        assert_eq!(a.series("workload").unwrap().total(), 2.0);
-        assert_eq!(a.series("extra").unwrap().total(), 1.0);
-        assert_eq!(a.histogram("lat").unwrap().len(), 2);
-        assert_eq!(a.log2_histogram("ns").unwrap().len(), 2);
     }
 }

@@ -3,18 +3,23 @@
 //! reference under arbitrary schedules — equal-time bursts, sub-tick
 //! spacings, day-scale horizons and far-future (top-level) times
 //! included, with pops interleaved between schedules so the wheel's
-//! cursor advances mid-stream.
+//! cursor advances mid-stream. Relative schedules (`now + delay`, the
+//! driver loop's `schedule_in` pattern) draw their delays from the
+//! default channel latencies, so most land in the wheel's low levels
+//! just ahead of the cursor, as they do in a real run.
 
-use lazyctrl_sim::{EventQueue, SchedulerKind, SimTime};
+use lazyctrl_sim::{ChannelClass, EventQueue, HeapQueue, LatencyModel, SimTime};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
 enum Op {
     /// Schedule one event at an absolute time.
     Schedule(u64),
+    /// Schedule one event `d` ns after the last popped event's time.
+    ScheduleIn(u64),
     /// Schedule a burst of events at the same time (tie-break stress).
     Burst(u64, u8),
-    /// Pop up to `n` events, comparing the two backends pop by pop.
+    /// Pop up to `n` events, comparing the wheel and the heap pop by pop.
     Pop(u8),
     /// Pop up to `n` events bounded by a horizon (the driver loop's
     /// `pop_until` fast path).
@@ -32,9 +37,30 @@ fn arb_time() -> impl Strategy<Value = u64> {
     ]
 }
 
+/// Relative delays: zero (a same-instant follow-up) or a sample from one
+/// of the four switch-facing channel classes' default latency range,
+/// `base × (1 ± jitter)`.
+fn arb_delay() -> impl Strategy<Value = u64> {
+    let m = LatencyModel::default();
+    let range = |class: ChannelClass| {
+        let base = m.base(class).as_nanos() as f64;
+        let lo = (base * (1.0 - m.jitter_frac)) as u64;
+        let hi = (base * (1.0 + m.jitter_frac)) as u64;
+        lo..=hi
+    };
+    prop_oneof![
+        Just(0u64),
+        range(ChannelClass::Data),
+        range(ChannelClass::Control),
+        range(ChannelClass::State),
+        range(ChannelClass::Peer),
+    ]
+}
+
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         arb_time().prop_map(Op::Schedule),
+        arb_delay().prop_map(Op::ScheduleIn),
         (arb_time(), 1u8..16).prop_map(|(t, n)| Op::Burst(t, n)),
         (1u8..16).prop_map(Op::Pop),
         (arb_time(), 1u8..16).prop_map(|(t, n)| Op::PopUntil(t, n)),
@@ -42,14 +68,22 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 fn drive(ops: &[Op]) {
-    let mut wheel: EventQueue<u32> = EventQueue::with_kind(SchedulerKind::Wheel);
-    let mut heap: EventQueue<u32> = EventQueue::with_kind(SchedulerKind::Heap);
+    let mut wheel: EventQueue<u32> = EventQueue::new();
+    let mut heap: HeapQueue<u32> = HeapQueue::new();
     let mut next_event = 0u32;
+    // Time of the last popped event: the driver loop's `now`.
+    let mut now = SimTime::ZERO;
     for op in ops {
         match *op {
             Op::Schedule(t) => {
                 wheel.schedule(SimTime::from_nanos(t), next_event);
                 heap.schedule(SimTime::from_nanos(t), next_event);
+                next_event += 1;
+            }
+            Op::ScheduleIn(d) => {
+                let at = SimTime::from_nanos(now.as_nanos().saturating_add(d));
+                wheel.schedule(at, next_event);
+                heap.schedule(at, next_event);
                 next_event += 1;
             }
             Op::Burst(t, n) => {
@@ -63,7 +97,10 @@ fn drive(ops: &[Op]) {
                 for _ in 0..n {
                     let a = wheel.pop();
                     let b = heap.pop();
-                    assert_eq!(a, b, "backends diverged mid-stream");
+                    assert_eq!(a, b, "wheel and heap diverged mid-stream");
+                    if let Some((t, _)) = a {
+                        now = t;
+                    }
                     if a.is_none() {
                         break;
                     }
@@ -74,7 +111,10 @@ fn drive(ops: &[Op]) {
                 for _ in 0..n {
                     let a = wheel.pop_until(until);
                     let b = heap.pop_until(until);
-                    assert_eq!(a, b, "backends diverged under a horizon");
+                    assert_eq!(a, b, "wheel and heap diverged under a horizon");
+                    if let Some((t, _)) = a {
+                        now = t;
+                    }
                     if a.is_none() {
                         break;
                     }
@@ -87,7 +127,7 @@ fn drive(ops: &[Op]) {
     loop {
         let a = wheel.pop();
         let b = heap.pop();
-        assert_eq!(a, b, "backends diverged in the drain");
+        assert_eq!(a, b, "wheel and heap diverged in the drain");
         if a.is_none() {
             break;
         }
@@ -118,6 +158,8 @@ fn horizon_wrap_across_every_level() {
         ops.push(Op::Schedule(t.saturating_add(1)));
     }
     ops.push(Op::Pop(10));
+    ops.push(Op::ScheduleIn(0)); // a same-instant follow-up
+    ops.push(Op::ScheduleIn(120_000)); // one data-path hop later
     ops.push(Op::Schedule(0)); // into the past of the advanced cursor
     ops.push(Op::Pop(255));
     drive(&ops);

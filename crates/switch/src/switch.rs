@@ -56,7 +56,7 @@ const PACE_BUFFER_CAP: usize = 64;
 /// and backoff depth folded into `[0, window_ns)`. De-synchronizes the
 /// pace windows of switches that heard the same pressure notice in the
 /// same tick — the thundering herd at window close — without drawing
-/// from any RNG stream (replicated-RNG lockstep must hold).
+/// from any RNG stream, so pacing perturbs no other sampling.
 fn pace_jitter_ns(switch: SwitchId, attempts: u32, window_ns: u64) -> u64 {
     if window_ns == 0 {
         return 0;
